@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 smoke check: build, tests, formatting (when ocamlformat is
-# available), and one tiny instrumented solve whose JSONL trace and JSON
-# report are validated.  Also exercises the live-observability surface:
+# available), and one tiny instrumented solve whose flight recording and
+# JSON report are validated (strictly decreasing recorded incumbents,
+# one run_id, a gap series whose lb never exceeds its ub).  Also exercises the live-observability surface:
 # a --trace-spans/--heartbeat/--metrics portfolio solve whose artifacts
 # are validated with `bsolo inspect --spans` / `--live --check`, and a
 # single-engine --profile-hz run whose sampled profile must agree with
@@ -60,7 +61,7 @@ save_artifacts() {
 trap 'save_artifacts; rm -rf "$tmpdir"' EXIT
 ./_build/default/bin/bsolo_main.exe benchmarks/synth-s1.opb \
   --timeout 10 --stats \
-  --trace "$tmpdir/trace.jsonl" --json "$tmpdir/report.json" \
+  --record "$tmpdir/solve.rec" --json "$tmpdir/report.json" \
   >"$tmpdir/stdout.txt" 2>"$tmpdir/stderr.txt"
 
 grep -q '^s OPTIMUM FOUND$' "$tmpdir/stdout.txt" || {
@@ -70,25 +71,46 @@ grep -q '^c phase times' "$tmpdir/stderr.txt" || {
   echo "FAIL: --stats produced no phase table on stderr"; cat "$tmpdir/stderr.txt"; exit 1;
 }
 
-echo "== validate JSONL trace =="
-[ -s "$tmpdir/trace.jsonl" ] || { echo "FAIL: empty trace"; exit 1; }
-awk '
-  !/^\{"t":/ { print "FAIL: bad trace line " NR ": " $0; bad = 1; exit 1 }
-  !/\}$/     { print "FAIL: bad trace line " NR ": " $0; bad = 1; exit 1 }
-  /"ev":"incumbent"/ {
-    if (match($0, /"cost":-?[0-9]+/)) {
-      cost = substr($0, RSTART + 7, RLENGTH - 7) + 0
-      if (seen && cost >= prev) { print "FAIL: incumbent trajectory not decreasing at line " NR; exit 1 }
-      prev = cost; seen = 1
-    }
-  }
-  END { if (!bad) print "trace: " NR " events, incumbents strictly decreasing" }
-' "$tmpdir/trace.jsonl"
-
 echo "== validate JSON report =="
 grep -q '"schema":"bsolo-run-report/1"' "$tmpdir/report.json" || {
   echo "FAIL: report schema marker missing"; exit 1;
 }
+# Every gap sample pairs a globally valid lb with the incumbent: lb <= ub.
+grep -o '"search\.gap":{[^}]*}' "$tmpdir/report.json" \
+  | grep -o '\[[-0-9.e+]*,[-0-9.e+]*,[-0-9.e+]*\]' >"$tmpdir/gap.txt" || true
+[ -s "$tmpdir/gap.txt" ] || { echo "FAIL: report has no search.gap samples"; exit 1; }
+awk -F'[][,]' '
+  $3 + 0 > $4 + 0 { print "FAIL: search.gap sample " NR " has lb > ub: " $0; bad = 1; exit 1 }
+  END { if (!bad) print "gap: " NR " samples, lb <= ub in every one" }
+' "$tmpdir/gap.txt"
+
+echo "== validate flight recording =="
+[ -s "$tmpdir/solve.rec" ] || { echo "FAIL: empty recording"; exit 1; }
+./_build/default/bin/bsolo_main.exe inspect forensics "$tmpdir/solve.rec" \
+  >"$tmpdir/solve-forensics.out" 2>&1 || {
+  echo "FAIL: forensics failed on the recording"; cat "$tmpdir/solve-forensics.out"; exit 1;
+}
+awk '
+  /^incumbent trajectory:/ { inc = 1; next }
+  inc && /cost -?[0-9]+$/ {
+    cost = $NF + 0
+    if (n && cost >= prev) {
+      print "FAIL: recorded incumbents not strictly decreasing: " prev " then " cost; bad = 1; exit 1
+    }
+    prev = cost; n++
+  }
+  END {
+    if (bad) exit 1
+    if (!n) { print "FAIL: no incumbents in the recording"; exit 1 }
+    print "recording: " n " incumbents, strictly decreasing"
+  }
+' "$tmpdir/solve-forensics.out"
+srid=$(sed -n 's/.*"run_id":"\([0-9a-f]*\)".*/\1/p' "$tmpdir/report.json" | head -1)
+[ -n "$srid" ] || { echo "FAIL: report has no run_id"; exit 1; }
+grep -q " run=$srid " "$tmpdir/solve-forensics.out" || {
+  echo "FAIL: recording run_id != report run_id ($srid)"; head -3 "$tmpdir/solve-forensics.out"; exit 1;
+}
+echo "run_id $srid in report and recording"
 
 echo "== parallel portfolio solve (--jobs 2) =="
 # Hard timeout so a hung worker domain fails the check instead of

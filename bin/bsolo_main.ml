@@ -1,7 +1,7 @@
 (* Command-line PBO solver over OPB files: the reproduction of the bsolo
    prototype, with the baselines selectable for comparison.  The default
-   command solves an instance; `bsolo inspect` analyses the run reports
-   and traces a solve leaves behind. *)
+   command solves an instance; `bsolo inspect` analyses the run reports,
+   spans, heartbeats and recordings a solve leaves behind. *)
 
 open Cmdliner
 
@@ -55,15 +55,15 @@ let fatal msg =
   Printf.eprintf "c error: %s\n%!" msg;
   exit 2
 
-(* Random hex run id: correlates every artifact (report, trace, spans,
-   heartbeats, proof log) a single invocation leaves behind. *)
+(* Random hex run id: correlates every artifact (report, recording,
+   spans, heartbeats, proof log) a single invocation leaves behind. *)
 let make_run_id () =
   let st = Random.State.make_self_init () in
   String.concat "" (List.init 4 (fun _ -> Printf.sprintf "%04x" (Random.State.bits st land 0xffff)))
 
 let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cut_rounds
     no_presolve no_lp_branching no_preprocess
-    cold_lpr no_adaptive_lb portfolio jobs verify verbosity stats trace_file json_file
+    cold_lpr no_adaptive_lb portfolio jobs verify verbosity stats json_file
     proof_file progress_every span_file heartbeat_file heartbeat_every profile_hz metrics_file
     record_file record_ring listen =
   (match verbosity with
@@ -148,8 +148,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       || listen_addr <> None
     in
     let want_telemetry =
-      want_report || trace_file <> None || progress_every > 0 || observing
-      || record_file <> None
+      want_report || progress_every > 0 || observing || record_file <> None
     in
     (* Flight recorder: opened before the telemetry context so the context
        owns it and every engine emits through it.  The header flags
@@ -200,21 +199,6 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
     let tel =
       if not want_telemetry then None
       else begin
-        let trace =
-          match trace_file with
-          | None -> None
-          | Some f -> (
-            try
-              let tr = Telemetry.Trace.open_file f in
-              Telemetry.Trace.event tr "header"
-                [
-                  "schema", Telemetry.Json.String "bsolo-trace/1";
-                  "run_id", Telemetry.Json.String run_id;
-                  "started", Telemetry.Json.Float started;
-                ];
-              Some tr
-            with Sys_error msg -> fatal ("cannot open trace file: " ^ msg))
-        in
         let spans =
           match span_file with
           | None -> None
@@ -247,7 +231,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
                    Printf.eprintf "c %s\n%!" line))
           else None
         in
-        Some (Telemetry.Ctx.create ~timing:want_report ?trace ?spans ?cell ?progress ?recorder ())
+        Some (Telemetry.Ctx.create ~timing:want_report ?spans ?cell ?progress ?recorder ())
       end
     in
     (* Heartbeat writer: opened before the solve so even an instant run
@@ -365,13 +349,13 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
         in
         Obsd.Server.stop ~final_event:("end", final) srv
     in
-    (* Keep a trace / span file / heartbeat (and a proof log) parseable on
-       abnormal exit: close (flush) the sinks from signal handlers and
+    (* Keep a recording / span file / heartbeat (and a proof log) parseable
+       on abnormal exit: close (flush) the sinks from signal handlers and
        at_exit.  All closes are idempotent, so the normal shutdown path is
        unaffected. *)
     let close_sinks () =
       (match tel with
-      | Some tel when trace_file <> None || span_file <> None || Option.is_some recorder ->
+      | Some tel when span_file <> None || Option.is_some recorder ->
         Telemetry.Ctx.close tel
       | Some _ | None -> ());
       (match heartbeat with Some hb -> Telemetry.Snapshot.close hb | None -> ());
@@ -381,7 +365,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       match proof_sink with Some s -> Proof.Sink.close s | None -> ()
     in
     if
-      (Option.is_some tel && (trace_file <> None || span_file <> None))
+      (Option.is_some tel && span_file <> None)
       || Option.is_some heartbeat || Option.is_some proof_sink || Option.is_some recorder
       || listen_addr <> None
     then begin
@@ -759,13 +743,6 @@ let stats_arg =
   let doc = "Print a per-phase time table and the counter registry to stderr." in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-let trace_arg =
-  let doc =
-    "Stream search events (decisions, backjumps, bound conflicts, incumbents, restarts, cuts) \
-     as JSON lines to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
 let json_arg =
   let doc = "Write a machine-readable run report (see docs/OBSERVABILITY.md) to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
@@ -971,7 +948,7 @@ let forensics_run rec_path node =
       print_lines (Inspect.Forensics.render (Inspect.Forensics.analyze rc));
       0)
 
-let inspect_run files diff_mode trace_file spans_file live_file follow check profile_mode
+let inspect_run files diff_mode spans_file live_file follow check profile_mode
     threshold show_all node metrics_file =
   let error msg =
     Printf.eprintf "bsolo inspect: %s\n" msg;
@@ -1014,7 +991,7 @@ let inspect_run files diff_mode trace_file spans_file live_file follow check pro
   match live_file with
   | Some path when follow -> follow_heartbeat path
   | Some path ->
-    (match Inspect.load_trace path with
+    (match Inspect.load_jsonl path with
     | Error msg -> error msg
     | Ok (lines, _skipped) ->
       Printf.printf "== %s (heartbeat) ==\n" path;
@@ -1050,24 +1027,17 @@ let inspect_run files diff_mode trace_file spans_file live_file follow check pro
       go 0 files
   end
   else
-  match trace_file, diff_mode, files with
-  | Some path, _, _ ->
-    (match Inspect.load_trace path with
-    | Error msg -> error msg
-    | Ok (events, skipped) ->
-      Printf.printf "== %s (trace) ==\n" path;
-      print_lines (Inspect.trace_summary events ~skipped);
-      0)
-  | None, true, [ a; b ] ->
+  match diff_mode, files with
+  | true, [ a; b ] ->
     load a (fun ja ->
         load b (fun jb ->
             let entries = Inspect.diff ~threshold ja jb in
             Printf.printf "== diff %s -> %s (threshold %.0f%%) ==\n" a b (100. *. threshold);
             print_lines (Inspect.render_diff ~all:show_all entries);
             if Inspect.has_regression entries then 1 else 0))
-  | None, true, _ -> error "--diff needs exactly two report files"
-  | None, false, [] -> error "no report file given (or use --trace FILE)"
-  | None, false, files ->
+  | true, _ -> error "--diff needs exactly two report files"
+  | false, [] -> error "no report file given"
+  | false, files ->
     let rec go = function
       | [] -> 0
       | path :: rest ->
@@ -1090,10 +1060,6 @@ let inspect_files_arg =
 let diff_flag =
   let doc = "Compare two reports and flag counter/time regressions beyond --threshold." in
   Arg.(value & flag & info [ "diff" ] ~doc)
-
-let inspect_trace_arg =
-  let doc = "Summarize a JSONL trace instead of a report (tolerates truncated traces)." in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let inspect_spans_arg =
   let doc =
@@ -1148,11 +1114,11 @@ let inspect_metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let inspect_cmd =
-  let doc = "analyse run reports, traces and flight recordings" in
+  let doc = "analyse run reports, spans, heartbeats and flight recordings" in
   let info = Cmd.info "inspect" ~doc in
   Cmd.v info
     Term.(
-      const inspect_run $ inspect_files_arg $ diff_flag $ inspect_trace_arg $ inspect_spans_arg
+      const inspect_run $ inspect_files_arg $ diff_flag $ inspect_spans_arg
       $ inspect_live_arg $ inspect_follow_arg $ inspect_check_arg $ inspect_profile_arg
       $ threshold_arg $ diff_all_arg $ inspect_node_arg $ inspect_metrics_arg)
 
@@ -1389,7 +1355,7 @@ let solve_term =
     const solve_file $ file_arg $ engine_arg $ lb_arg $ bcp_arg $ time_arg $ conflict_arg $ no_cuts_arg
     $ cuts_mode_arg $ cut_rounds_arg $ no_presolve_arg
     $ no_lp_branching_arg $ no_preprocess_arg $ cold_lpr_arg $ no_adaptive_lb_arg
-    $ portfolio_arg $ jobs_arg $ verify_arg $ verbose_arg $ stats_arg $ trace_arg $ json_arg
+    $ portfolio_arg $ jobs_arg $ verify_arg $ verbose_arg $ stats_arg $ json_arg
     $ proof_file_arg $ progress_arg $ span_file_arg $ heartbeat_arg $ heartbeat_every_arg
     $ profile_hz_arg $ metrics_arg $ record_arg $ record_ring_arg $ listen_arg)
 

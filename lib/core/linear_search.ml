@@ -99,8 +99,6 @@ let record_model st =
     if cost < st.upper then st.upper <- cost;
     let m = Core.model st.engine in
     st.best <- Some (m, cost + st.offset);
-    Telemetry.Trace.incumbent st.tel.trace ~cost:(cost + st.offset)
-      ~conflicts:(Telemetry.Counter.get (Core.stats st.engine).Core.conflicts);
     Telemetry.Recorder.incumbent st.recorder ~cost:(cost + st.offset);
     Telemetry.Profile.Cell.update_ub ~self:true st.tel.cell (float_of_int (cost + st.offset));
     match st.options.on_incumbent with

@@ -66,7 +66,7 @@ type t = {
       (** instrumentation context shared by the driver, engine and
           lower-bound procedures; [None] (the default) runs with a fresh
           silent context: counters still back the outcome snapshot but no
-          timing, trace or progress output is produced *)
+          timing, recording or progress output is produced *)
   external_incumbent : (unit -> (int * string) option) option;
       (** cooperative upper-bound import hook (parallel portfolio): polled
           at a bounded cadence (every search-loop iteration, i.e. every

@@ -140,12 +140,10 @@ let record_incumbent st =
     | Some proof -> Proof.log_solution proof ~cost:(cost + st.offset) m
     | None -> ());
     let conflicts = Telemetry.Counter.get (Core.stats st.engine).Core.conflicts in
-    Telemetry.Trace.incumbent st.tel.trace ~cost:(cost + st.offset) ~conflicts;
     Telemetry.Recorder.incumbent st.recorder ~cost:(cost + st.offset);
     Telemetry.Profile.Cell.update_ub ~self:true st.tel.cell (float_of_int (cost + st.offset));
     Lowerbound.Track.gap_sample_now st.track
-      ~at:(Unix.gettimeofday () -. st.start)
-      ~lb:(st.last_lb + st.offset) ~ub:(cost + st.offset);
+      ~at:(Unix.gettimeofday () -. st.start) ~ub:(cost + st.offset);
     Log.info (fun k ->
         k "incumbent %d after %d conflicts (%.2fs)" (cost + st.offset) conflicts
           (Unix.gettimeofday () -. st.start));
@@ -192,7 +190,6 @@ let add_incumbent_cuts st =
           Some `Root
         | Constr.Constr c ->
           Telemetry.Counter.incr (Telemetry.Registry.counter st.tel.registry ("cuts." ^ kind));
-          Telemetry.Trace.cut st.tel.trace ~kind ~size:(Constr.size c) ~degree:(Constr.degree c);
           (match conflict, Core.add_constraint_dynamic st.engine ~in_lb:false c with
           | (Some _ as found), _ -> found
           | None, Some ci -> Some (`Cid ci)
@@ -218,7 +215,6 @@ let handle_bound_conflict st (lower : Lowerbound.Bound.t) omega =
   let from_level = Core.decision_level st.engine in
   let path = Core.path_cost st.engine in
   let upper = st.upper in
-  Telemetry.Trace.bound_conflict st.tel.trace ~lb:lower.value ~path ~upper ~level:from_level;
   let analysis =
     Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Analyze (fun () ->
         Core.learn_false_clause st.engine omega)
@@ -326,14 +322,14 @@ let rec search st =
               let path = Core.path_cost st.engine in
               st.last_lb <- path + lower.value;
               Lowerbound.Track.note_call st.track ~value:lower.value ~path ~upper:st.upper;
-              Lowerbound.Track.gap_sample st.track
-                ~at:(Unix.gettimeofday () -. st.start)
-                ~lb:(st.last_lb + st.offset) ~ub:(st.upper + st.offset);
               (* A root-level evaluation (no decisions on the trail)
                  bounds the whole problem; deeper ones only bound their
-                 subtree and must not reach the live cell. *)
+                 subtree and must not reach the gap series or the live
+                 cell. *)
               if Core.decision_level st.engine = 0 then
                 Lowerbound.Track.publish_global_lb st.track ~lb:(st.last_lb + st.offset);
+              Lowerbound.Track.gap_sample st.track
+                ~at:(Unix.gettimeofday () -. st.start) ~ub:(st.upper + st.offset);
               lower, true, elapsed_us
           end
         in
@@ -586,7 +582,7 @@ let solve_with_incumbent_hook ?(options = Options.default) ~on_incumbent problem
       cuts = None;
       lb_skip = 1;
       lb_noprune = 0;
-      track = Lowerbound.Track.create tel ~proc;
+      track = Lowerbound.Track.create tel ~proc ~floor:offset;
       last_lb = 0;
       max_learned = 4000;
       restart_budget = 100;

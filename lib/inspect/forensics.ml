@@ -336,7 +336,8 @@ let render analyses =
         a.a_accounted fin_line
     in
     let shape =
-      line "max depth %d; depth bands of %d level(s)" a.a_max_depth a.a_band
+      line "%d events; max depth %d; depth bands of %d level(s)" a.a_events a.a_max_depth
+        a.a_band
     in
     let band_header =
       let cols =
@@ -372,7 +373,14 @@ let render analyses =
                  s.st_decisions s.st_conflicts s.st_prunes s.st_lb_evals)
              (List.filteri (fun i _ -> i < 5) l)
     in
-    head @ [ totals; shape; band_header ] @ blame_lines @ [ movement ] @ stalls
+    let trajectory =
+      match a.a_incumbents with
+      | [] -> []
+      | l ->
+        line "incumbent trajectory:"
+        :: List.map (fun (t, cost) -> line "  %10.3fs  cost %d" (us_to_s t) cost) l
+    in
+    head @ [ totals; shape; band_header ] @ blame_lines @ [ movement ] @ stalls @ trajectory
   in
   List.concat_map one analyses
 

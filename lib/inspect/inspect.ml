@@ -1,8 +1,8 @@
 (* Derived analyses over the observability artifacts: `--json` run
-   reports, `--trace` JSONL event streams and the bench regression
-   reports.  Everything here is a pure function from parsed JSON to
-   strings or typed rows, so the CLI subcommand stays a thin shell and
-   the analyses are unit-testable. *)
+   reports, `--trace-spans` span files, `--heartbeat` JSONL streams and
+   the bench regression reports.  Everything here is a pure function
+   from parsed JSON to strings or typed rows, so the CLI subcommand
+   stays a thin shell and the analyses are unit-testable. *)
 
 module Json = Telemetry.Json
 
@@ -22,11 +22,10 @@ let load_file path =
     | Ok v -> Ok v
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
 
-(* Trace recovery: a crashed or killed run leaves at most one partial
-   trailing line (the sink flushes every 64 events); more generally any
-   unparseable line is skipped and counted rather than failing the whole
-   inspection. *)
-let load_trace path =
+(* JSONL recovery: a crashed or killed run leaves at most one partial
+   trailing line; more generally any unparseable line is skipped and
+   counted rather than failing the whole inspection. *)
+let load_jsonl path =
   match read_file path with
   | exception Sys_error msg -> Error msg
   | text ->
@@ -600,78 +599,6 @@ let diff ~threshold a b =
   | Some sa, Some sb when sa = Bench.schema && sb = Bench.schema ->
     Bench.diff ~threshold a b
   | _ -> diff_run_reports ~threshold a b
-
-(* --- trace summary --------------------------------------------------------- *)
-
-let trace_summary events ~skipped =
-  let tally = Hashtbl.create 16 in
-  let last_t = ref 0. in
-  List.iter
-    (fun e ->
-      (match Option.bind (Json.member "t" e) Json.to_float with
-      | Some t when t > !last_t -> last_t := t
-      | _ -> ());
-      match Option.bind (Json.member "ev" e) Json.to_string_opt with
-      | Some ev -> Hashtbl.replace tally ev (1 + Option.value ~default:0 (Hashtbl.find_opt tally ev))
-      | None -> ())
-    events;
-  let counts =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally [] |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let incumbents =
-    List.filter_map
-      (fun e ->
-        match Option.bind (Json.member "ev" e) Json.to_string_opt with
-        | Some "incumbent" ->
-          (match Option.bind (Json.member "t" e) Json.to_float,
-                 Option.bind (Json.member "cost" e) Json.to_int with
-          | Some t, Some c -> Some (t, c)
-          | _ -> None)
-        | _ -> None)
-      events
-  in
-  (* LP re-solve behaviour: warm/cold/cache split and iteration totals
-     from the `simplex` events, when the trace has any. *)
-  let lp_modes = Hashtbl.create 4 in
-  List.iter
-    (fun e ->
-      match Option.bind (Json.member "ev" e) Json.to_string_opt with
-      | Some "simplex" ->
-        let mode =
-          Option.value ~default:"?" (Option.bind (Json.member "mode" e) Json.to_string_opt)
-        in
-        let iters = Option.value ~default:0 (Option.bind (Json.member "iters" e) Json.to_int) in
-        let calls, total = Option.value ~default:(0, 0) (Hashtbl.find_opt lp_modes mode) in
-        Hashtbl.replace lp_modes mode (calls + 1, total + iters)
-      | _ -> ())
-    events;
-  let header =
-    Printf.sprintf "%d events over %.3fs%s" (List.length events) !last_t
-      (if skipped > 0 then Printf.sprintf " (%d unparseable line(s) skipped)" skipped else "")
-  in
-  let count_lines = List.map (fun (k, v) -> Printf.sprintf "  %-16s %d" k v) counts in
-  let lp_lines =
-    if Hashtbl.length lp_modes = 0 then []
-    else begin
-      let modes =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) lp_modes []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      "lp re-solves:"
-      :: List.map
-           (fun (mode, (calls, iters)) ->
-             Printf.sprintf "  %-8s %6d calls  %8d iters" mode calls iters)
-           modes
-    end
-  in
-  let inc_lines =
-    match incumbents with
-    | [] -> []
-    | _ ->
-      "incumbent trajectory:"
-      :: List.map (fun (t, c) -> Printf.sprintf "  %10.3fs  cost %d" t c) incumbents
-  in
-  (header :: count_lines) @ lp_lines @ inc_lines
 
 (* --- sampling-profile view ------------------------------------------------- *)
 

@@ -1,11 +1,12 @@
 (** Derived analyses over the observability artifacts.
 
-    Consumes the [--json] run reports and [--trace] JSONL streams written
-    by the solvers (see [docs/OBSERVABILITY.md]) and the bench regression
-    reports ([BENCH_*.json]), and produces the derived views behind
+    Consumes the [--json] run reports, [--trace-spans] span files and
+    [--heartbeat] JSONL streams written by the solvers (see
+    [docs/OBSERVABILITY.md]) and the bench regression reports
+    ([BENCH_*.json]), and produces the derived views behind
     [bsolo inspect]: per-procedure effectiveness, gap-closure timeline,
-    search-tree shape, report diffs and trace summaries.  Pure functions
-    from parsed JSON so everything is unit-testable. *)
+    search-tree shape, report diffs, span and heartbeat checks.  Pure
+    functions from parsed JSON so everything is unit-testable. *)
 
 module Json = Telemetry.Json
 
@@ -13,10 +14,10 @@ module Json = Telemetry.Json
 
 val load_file : string -> (Json.t, string) result
 
-val load_trace : string -> (Json.t list * int, string) result
-(** Events plus the number of unparseable lines skipped — a trace cut
-    short by a signal or timeout loses at most its partial tail, not the
-    whole file. *)
+val load_jsonl : string -> (Json.t list * int, string) result
+(** One JSON value per line (heartbeat files), plus the number of
+    unparseable lines skipped — a file cut short by a signal or timeout
+    loses at most its partial tail, not the whole file. *)
 
 (** {1 Report accessors} *)
 
@@ -160,10 +161,6 @@ module Bench : sig
   val solved : string -> bool
   val diff : threshold:float -> Json.t -> Json.t -> diff_entry list
 end
-
-(** {1 Trace summary} *)
-
-val trace_summary : Json.t list -> skipped:int -> string list
 
 (** {1 Sampling-profile view}
 

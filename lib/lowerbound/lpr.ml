@@ -296,12 +296,9 @@ let compute_inc inc ~cap =
       Telemetry.Counter.incr inc.c_cache_hits;
       match inc.last with
       | Last_opt o ->
-        Telemetry.Trace.simplex tel.trace ~mode:"cache" ~iters:0 ~outcome:"optimal";
         bound_of_opt inc full ~path ~z:o.z ~x:o.x ~tight:o.tight ~ctight:o.ctight
           ~duals:o.duals
-      | Last_inf { refs; cids; cuts } ->
-        Telemetry.Trace.simplex tel.trace ~mode:"cache" ~iters:0 ~outcome:"infeasible";
-        inf_bound inc ~cap ~refs ~cids ~cuts
+      | Last_inf { refs; cids; cuts } -> inf_bound inc ~cap ~refs ~cids ~cuts
       | Last_none -> assert false
     end
     else begin
@@ -328,9 +325,7 @@ let compute_inc inc ~cap =
           Telemetry.Counter.incr inc.c_warm_hits;
           Telemetry.Counter.add inc.c_warm_iters info.iters
         end
-        else Telemetry.Counter.incr inc.c_cold_falls;
-        let mode = if info.warm then "warm" else "cold" in
-        fun outcome -> Telemetry.Trace.simplex tel.trace ~mode ~iters:info.iters ~outcome
+        else Telemetry.Counter.incr inc.c_cold_falls
       in
       (* Separation loop: solve, separate violated cuts against the
          fractional optimum, splice them in as extra rows, re-solve warm
@@ -356,10 +351,9 @@ let compute_inc inc ~cap =
             go (rounds + 1) (solve ()))
         | outcome -> finish outcome
       and finish outcome =
-        let trace = finalize () in
+        finalize ();
         match outcome with
         | Simplex.Optimal sol ->
-          trace "optimal";
           let tight = tight_cids full sol in
           let duals = dual_refs full sol in
           let ctight, cduals =
@@ -382,12 +376,10 @@ let compute_inc inc ~cap =
           inc.last <- Last_opt { z = sol.value; x = sol.x; tight; ctight; duals };
           bound_of_opt inc full ~path ~z:sol.value ~x:sol.x ~tight ~ctight ~duals
         | Simplex.Infeasible witness ->
-          trace "infeasible";
           let refs, cids, cuts = split_witness inc full witness in
           inc.last <- Last_inf { refs; cids; cuts };
           inf_bound inc ~cap ~refs ~cids ~cuts
         | Simplex.Iteration_limit zo ->
-          trace "limit";
           inc.last <- Last_none;
           let value =
             match zo with
@@ -403,7 +395,6 @@ let compute_inc inc ~cap =
             }
           else Bound.none
         | Simplex.Unbounded ->
-          trace "unbounded";
           inc.last <- Last_none;
           Bound.none
       in

@@ -25,7 +25,8 @@ val compute : Engine.Solver_core.t -> cap:int -> Bound.t
     optimum; pure tightenings of an infeasible system).
 
     Telemetry: [lpr.warm_hits] / [lpr.warm_iters] / [lpr.cold_falls] /
-    [lpr.cache_hits] counters and one [simplex] trace event per call. *)
+    [lpr.cache_hits] counters; the solver records each call as one
+    [Lb_eval] flight-recorder frame. *)
 
 type inc
 

@@ -1,7 +1,7 @@
 (* Bound-quality tracking: per-procedure tightness histograms, bound-
    conflict backjump attribution and the LB/UB gap trajectory.  All
    instruments are bound once per run against the shared registry, so the
-   per-call cost is a few stores plus (when tracing) one JSONL line.
+   per-call cost is a few stores.
 
    Tightness is recorded per mille of the gap the bound had to close:
    1000 * lb / (upper - path), clamped to [0, 1000].  A call scoring 1000
@@ -17,15 +17,15 @@ type t = {
   path_conflicts : Telemetry.Counter.t;  (* lb.path.bound_conflicts *)
   path_backjump : Telemetry.Histogram.t;  (* lb.path.bc_backjump *)
   gap : Telemetry.Series.t;  (* search.gap: (lb, ub) trajectory *)
-  trace : Telemetry.Trace.t;
   cell : Telemetry.Profile.Cell.t;  (* live lb for heartbeat monitors *)
   recorder : Telemetry.Recorder.t;  (* flight recorder: Prune frames with blame *)
+  mutable global_lb : int;  (* running maximum of the globally valid bounds *)
 }
 
 let gap_series_name = "search.gap"
 let gap_fields = [ "lb"; "ub" ]
 
-let create (tel : Telemetry.Ctx.t) ~proc =
+let create (tel : Telemetry.Ctx.t) ~proc ~floor =
   let reg = tel.registry in
   let h name = Telemetry.Registry.histogram reg name in
   let c name = Telemetry.Registry.counter reg name in
@@ -38,9 +38,9 @@ let create (tel : Telemetry.Ctx.t) ~proc =
     path_conflicts = c "lb.path.bound_conflicts";
     path_backjump = h "lb.path.bc_backjump";
     gap = Telemetry.Registry.series reg ~fields:gap_fields gap_series_name;
-    trace = tel.trace;
     cell = tel.cell;
     recorder = tel.recorder;
+    global_lb = floor;
   }
 
 let tightness_pm ~value ~need =
@@ -48,8 +48,7 @@ let tightness_pm ~value ~need =
 
 let note_call t ~value ~path ~upper =
   Telemetry.Histogram.observe t.tightness_pm (tightness_pm ~value ~need:(upper - path));
-  Telemetry.Histogram.observe t.values value;
-  Telemetry.Trace.lb t.trace ~proc:t.proc ~value ~path ~upper
+  Telemetry.Histogram.observe t.values value
 
 (* A bound conflict fired; [lb_driven] tells whether the LB procedure
    contributed (value > 0) or the path cost alone reached the incumbent,
@@ -71,17 +70,19 @@ let note_bound_conflict t ~lb_driven ~lb ~path ~upper ~from_level ~to_level =
     ~blame:(if lb_driven then t.proc else "path")
     ~lb ~path ~upper ~from_level ~to_level
 
-let gap_sample t ~at ~lb ~ub =
-  Telemetry.Series.observe t.gap ~t:at [| float_of_int lb; float_of_int ub |]
+(* A gap point pairs the best global bound so far with [ub].  A root
+   bound evaluated under the incumbent cuts bounds only the solutions
+   better than the incumbent, so it can exceed [ub]; it then proves the
+   incumbent optimal and the point reads gap 0, never lb > ub. *)
+let gap_point t ~ub = [| float_of_int (min t.global_lb ub); float_of_int ub |]
+let gap_sample t ~at ~ub = Telemetry.Series.observe t.gap ~t:at (gap_point t ~ub)
+let gap_sample_now t ~at ~ub = Telemetry.Series.observe_now t.gap ~t:at (gap_point t ~ub)
 
-let gap_sample_now t ~at ~lb ~ub =
-  Telemetry.Series.observe_now t.gap ~t:at [| float_of_int lb; float_of_int ub |]
-
-(* Publish a *globally valid* lower bound (a root-level evaluation, a
-   best-first tree bound) to the context's profile cell for heartbeat
-   monitors.  Deliberately separate from {!gap_sample}: the gap series
-   records node-local bounds too, which may exceed the optimum on a
-   subtree about to be pruned and must never reach the cell — the cell
-   keeps the maximum and backs the non-widening heartbeat gap. *)
+(* Record a *globally valid* lower bound (a root-level evaluation): it
+   raises the running maximum the gap series samples and reaches the
+   context's profile cell for heartbeat monitors.  Node-local bounds may
+   exceed the optimum on a subtree about to be pruned and must never
+   come through here. *)
 let publish_global_lb t ~lb =
+  if lb > t.global_lb then t.global_lb <- lb;
   Telemetry.Profile.Cell.update_lb t.cell (float_of_int lb)

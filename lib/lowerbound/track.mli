@@ -14,17 +14,19 @@ val gap_series_name : string
 
 val gap_fields : string list
 
-val create : Telemetry.Ctx.t -> proc:string -> t
+val create : Telemetry.Ctx.t -> proc:string -> floor:int -> t
 (** [proc] is the lower-case procedure name ("mis", "lgr", "lpr",
-    "plain"); instruments are bound once here. *)
+    "plain"); instruments are bound once here.  [floor] is a trivially
+    valid global lower bound — the objective offset, since every
+    normalized cost is positive — that the gap series reports until
+    {!publish_global_lb} raises it. *)
 
 val tightness_pm : value:int -> need:int -> int
 (** Gap closure per mille: [1000 * value / need] clamped to [0, 1000];
     [need <= 0] counts as fully closed. *)
 
 val note_call : t -> value:int -> path:int -> upper:int -> unit
-(** Record one LB evaluation: tightness and raw-value histograms, plus an
-    ["lb"] trace event when tracing. *)
+(** Record one LB evaluation: tightness and raw-value histograms. *)
 
 val note_bound_conflict :
   t -> lb_driven:bool -> lb:int -> path:int -> upper:int -> from_level:int -> to_level:int -> unit
@@ -34,16 +36,21 @@ val note_bound_conflict :
     the same blame to the context's flight recorder, carrying the
     bound / path / incumbent values that justified the prune. *)
 
-val gap_sample : t -> at:float -> lb:int -> ub:int -> unit
-(** Offer a gap-trajectory point ([at] seconds into the run); subject to
-    the series' decimating stride. *)
+val gap_sample : t -> at:float -> ub:int -> unit
+(** Offer a gap-trajectory point ([at] seconds into the run) pairing
+    [ub] with the largest global bound published so far, clamped to
+    [ub]: a global bound that reaches the incumbent proves it optimal,
+    so the point reads gap 0.  The lb side therefore never exceeds the
+    ub side and never decreases.  Subject to the series' decimating
+    stride. *)
 
-val gap_sample_now : t -> at:float -> lb:int -> ub:int -> unit
+val gap_sample_now : t -> at:float -> ub:int -> unit
 (** Always-kept gap point, for incumbent updates. *)
 
 val publish_global_lb : t -> lb:int -> unit
-(** Publish a globally valid lower bound (root-level evaluation) to the
+(** Record a globally valid lower bound (root-level evaluation): it
+    raises the running maximum the gap series samples and reaches the
     context's live profile cell for heartbeat monitors.  Node-local
-    bounds must NOT go through here: the cell keeps the maximum, and a
+    bounds must NOT go through here: both keep the maximum, and a
     subtree bound above the optimum would freeze a wrong value into the
     reported gap. *)

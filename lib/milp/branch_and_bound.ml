@@ -168,7 +168,6 @@ let solve ?(options = Bsolo.Options.default) problem =
       if c < !upper then begin
         upper := c;
         best := Some (m, c);
-        Telemetry.Trace.incumbent tel.trace ~cost:c ~conflicts:!nodes;
         Telemetry.Recorder.incumbent recorder ~cost:c;
         Telemetry.Profile.Cell.update_ub ~self:true tel.Telemetry.Ctx.cell (float_of_int c);
         match options.on_incumbent with Some broadcast -> broadcast m c | None -> ()

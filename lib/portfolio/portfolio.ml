@@ -78,17 +78,7 @@ let attribute tel name (o : Bsolo.Outcome.t) =
           (Telemetry.Registry.counter tel.Telemetry.Ctx.registry (prefix ^ k))
           v)
     (Bsolo.Outcome.counters_to_alist o.counters);
-  Telemetry.Gauge.set (Telemetry.Registry.gauge tel.registry (prefix ^ "seconds")) o.elapsed;
-  Telemetry.Trace.event tel.trace "portfolio_result"
-    [
-      "name", Telemetry.Json.String name;
-      "status", Telemetry.Json.String (Bsolo.Outcome.status_name o.status);
-      ( "cost",
-        match Bsolo.Outcome.best_cost o with
-        | None -> Telemetry.Json.Null
-        | Some c -> Telemetry.Json.Int c );
-      "seconds", Telemetry.Json.Float o.elapsed;
-    ]
+  Telemetry.Gauge.set (Telemetry.Registry.gauge tel.registry (prefix ^ "seconds")) o.elapsed
 
 (* Fold worker-registry snapshots into the parent registry under
    [portfolio.<name>.<instrument>] — registries are single-domain, so the
@@ -295,8 +285,6 @@ let solve_sequential ?run_id tel entries ~budget ~proof_file ~record_file proble
     (fun e ->
       if not !finished then begin
         let slice = Float.max 0.05 ((budget -. !spent) /. float_of_int (max 1 !remaining)) in
-        Telemetry.Trace.event tel.Telemetry.Ctx.trace "portfolio_member"
-          [ "name", Telemetry.Json.String e.pname; "slice", Telemetry.Json.Float slice ];
         let psink =
           Option.map (fun base -> Proof.Sink.open_file (part_path base e.pname)) proof_file
         in
@@ -316,7 +304,7 @@ let solve_sequential ?run_id tel entries ~budget ~proof_file ~record_file proble
            track): the member span nests around the engine-phase spans
            the run emits. *)
         let o =
-          Telemetry.Span.with_span ~cat:"member" tel.spans
+          Telemetry.Span.with_span ~cat:"member" tel.Telemetry.Ctx.spans
             ~track:(Telemetry.Profile.Cell.track tel.cell)
             ("member:" ^ e.pname)
             (fun () -> e.psolve ~options problem)
@@ -386,8 +374,7 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
       {
         Telemetry.Ctx.timer = Telemetry.Timer.create ~enabled:false ();
         registry = Telemetry.Registry.create ();
-        trace = tel.Telemetry.Ctx.trace;
-        spans = tel.spans;
+        spans = tel.Telemetry.Ctx.spans;
         cell = wcell;
         progress = Telemetry.Progress.disabled ();
         recorder = wrec;
@@ -485,13 +472,7 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
         attribute tel r.wname o;
         merge_worker_registry tel r.wname r.wregistry;
         runs := (r.wname, o) :: !runs
-      | Error msg ->
-        Telemetry.Trace.event tel.trace "portfolio_crash"
-          [
-            "name", Telemetry.Json.String r.wname;
-            "error", Telemetry.Json.String msg;
-          ];
-        failures := (r.wname, msg) :: !failures)
+      | Error msg -> failures := (r.wname, msg) :: !failures)
     results;
   let runs = List.rev !runs and failures = List.rev !failures in
   (* Stitch before the combined-proof upgrade: the final [F] claim must be
@@ -536,8 +517,6 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
     match combined with
     | None -> runs
     | Some (c, m) ->
-      Telemetry.Trace.event tel.trace "portfolio_combined_proof"
-        [ "cost", Telemetry.Json.Int c ];
       (* Upgrade the run holding the optimal incumbent (or, if its worker
          crashed after broadcasting, the run that completed the proof)
          to the Optimal status the runs jointly established. *)

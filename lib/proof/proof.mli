@@ -85,9 +85,8 @@ val cardinality_cut : Problem.t -> cid:int -> upper:int -> Constr.norm option
 
 module Sink : sig
   type t
-  (** Buffered, mutex-guarded line sink (same discipline as
-      [Telemetry.Trace]: autoflush every 64 lines, idempotent
-      close). *)
+  (** Buffered, mutex-guarded line sink: autoflush every 64 lines,
+      idempotent close. *)
 
   val open_file : string -> t
   (** Truncates/creates [path].  Raises [Sys_error] on failure. *)

@@ -1,14 +1,13 @@
 (* One telemetry context per solver run: phase timer, counter registry,
-   trace sink, span sink, profile cell and progress reporter travel
+   span sink, profile cell, progress reporter and flight recorder travel
    together.  [silent] is the default used when the caller asked for
    nothing: counters still accumulate (they back the outcome snapshot)
-   but the timer is off, no trace/spans are written, the cell is inert
-   and no progress is printed. *)
+   but the timer is off, no spans or search events are written, the
+   cell is inert and no progress is printed. *)
 
 type t = {
   timer : Timer.t;
   registry : Registry.t;
-  trace : Trace.t;
   spans : Span.t;
   cell : Profile.Cell.t;
   progress : Progress.t;
@@ -19,18 +18,16 @@ let silent () =
   {
     timer = Timer.create ();
     registry = Registry.create ();
-    trace = Trace.disabled ();
     spans = Span.disabled ();
     cell = Profile.Cell.disabled ();
     progress = Progress.disabled ();
     recorder = Recorder.disabled ();
   }
 
-let create ?(timing = true) ?trace ?spans ?cell ?progress ?recorder () =
+let create ?(timing = true) ?spans ?cell ?progress ?recorder () =
   {
     timer = Timer.create ~enabled:timing ();
     registry = Registry.create ();
-    trace = (match trace with Some t -> t | None -> Trace.disabled ());
     spans = (match spans with Some s -> s | None -> Span.disabled ());
     cell = (match cell with Some c -> c | None -> Profile.Cell.disabled ());
     progress = (match progress with Some p -> p | None -> Progress.disabled ());
@@ -59,6 +56,5 @@ let with_phase t phase f =
   else Timer.with_phase t.timer phase f
 
 let close t =
-  Trace.close t.trace;
   Span.close t.spans;
   Recorder.close t.recorder

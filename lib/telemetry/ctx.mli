@@ -1,23 +1,22 @@
 (** One telemetry context per solver run.
 
-    Phase timer, instrument registry, trace sink, span sink, profile
-    cell and progress reporter travel together.  {!silent} is the
+    Phase timer, instrument registry, span sink, profile cell, progress
+    reporter and flight recorder travel together.  {!silent} is the
     default used when the caller asked for nothing: counters still
     accumulate (they back the outcome snapshot) but the timer is off, no
-    trace or spans are written, the cell is inert and no progress is
-    printed.
+    spans or search events are written, the cell is inert and no
+    progress is printed.
 
-    Domain-safety: a context is single-domain except for its trace and
-    span sinks (mutex-guarded) and its profile cell (single writer, any
-    readers).  Parallel portfolio workers each get a private context —
-    own registry, own timer, own cell, disabled progress — that may
-    share the parent's trace and span sinks; per-worker registries are
-    merged after the domains are joined. *)
+    Domain-safety: a context is single-domain except for its span sink
+    and recorder (mutex-guarded) and its profile cell (single writer,
+    any readers).  Parallel portfolio workers each get a private
+    context — own registry, own timer, own cell, own recorder, disabled
+    progress — that shares the parent's span sink; per-worker registries
+    are merged after the domains are joined. *)
 
 type t = {
   timer : Timer.t;
   registry : Registry.t;
-  trace : Trace.t;
   spans : Span.t;
   cell : Profile.Cell.t;
   progress : Progress.t;
@@ -28,16 +27,14 @@ val silent : unit -> t
 
 val create :
   ?timing:bool ->
-  ?trace:Trace.t ->
   ?spans:Span.t ->
   ?cell:Profile.Cell.t ->
   ?progress:Progress.t ->
   ?recorder:Recorder.t ->
   unit ->
   t
-(** [timing] defaults to [true]; omitted [trace]/[spans]/[progress] are
-    disabled, an omitted [cell] is inert and an omitted [recorder] is
-    disabled. *)
+(** [timing] defaults to [true]; omitted [spans]/[progress]/[recorder]
+    are disabled and an omitted [cell] is inert. *)
 
 val with_phase : t -> Phase.t -> (unit -> 'a) -> 'a
 (** Run [f] attributed to the phase across the whole observability
@@ -48,5 +45,4 @@ val with_phase : t -> Phase.t -> (unit -> 'a) -> 'a
     [Timer.with_phase] plus one load and branch. *)
 
 val close : t -> unit
-(** Flush and close the trace and span sinks and the recorder
-    (idempotent). *)
+(** Flush and close the span sink and the recorder (idempotent). *)

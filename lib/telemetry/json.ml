@@ -1,4 +1,4 @@
-(* Minimal JSON tree, printer and parser: enough for JSONL traces and run
+(* Minimal JSON tree, printer and parser: enough for JSONL heartbeats and run
    reports without an external dependency.  The printer never emits
    newlines inside a value, so one value per line is a valid JSONL
    record.  The parser accepts anything the printer emits (and standard

@@ -1,6 +1,6 @@
 (** Minimal JSON tree, printer and parser.
 
-    Enough for JSONL traces and run reports without an external
+    Enough for JSONL heartbeats and run reports without an external
     dependency.  The printer never emits newlines inside a value, so one
     value per line is a valid JSONL record.  The parser accepts anything
     the printer emits (and standard JSON generally). *)

@@ -8,8 +8,9 @@
     outcome, a bound-conflict prune with blame, a learned constraint, an
     incumbent, a portfolio import, a restart — stamped in microseconds
     on the shared {!Epoch}.  The header frame repeats the [run_id] the
-    run's other artifacts (report, trace, spans, heartbeats, proof)
-    carry, so a recording correlates with all of them.
+    run's other artifacts (report, spans, heartbeats, proof) carry, so a
+    recording correlates with all of them.  The recorder is the one
+    search-event stream: no other sink logs individual search events.
 
     Two file modes: direct streaming (every event lands in the file,
     autoflushed), and a bounded ring ([?ring]) that keeps only the most
@@ -21,7 +22,7 @@
     The reader tolerates truncated tails (a run killed mid-write): all
     intact frames are returned and the recording is flagged truncated.
 
-    Domain-safety: the writer is mutex-guarded, like the trace sink. *)
+    Domain-safety: the writer is mutex-guarded, like the span sink. *)
 
 type header = {
   h_run_id : string;

@@ -13,7 +13,7 @@
      ]
 
    [ts] is microseconds since Epoch.t0.  A crash loses at most the
-   closing bracket, which the inspect loader repairs.  Like Trace, a
+   closing bracket, which the inspect loader repairs.  Like Recorder, a
    disabled sink costs one branch per call site; an enabled sink
    serializes writers with a mutex (per-track begin/end stacks live
    under the same lock). *)

@@ -1,6 +1,6 @@
 (* Search-analytics layer: series decimation, bound-quality tracking
-   attribution, per-procedure effectiveness, report diffs and the bench
-   regression schema. *)
+   attribution, the gap series' global bound, per-procedure
+   effectiveness, report diffs and the bench regression schema. *)
 
 module Json = Telemetry.Json
 
@@ -55,7 +55,7 @@ let test_tightness_pm () =
 let test_track_attribution () =
   let tel = Telemetry.Ctx.create () in
   let reg = tel.Telemetry.Ctx.registry in
-  let tr = Lowerbound.Track.create tel ~proc:"lpr" in
+  let tr = Lowerbound.Track.create tel ~proc:"lpr" ~floor:0 in
   Lowerbound.Track.note_call tr ~value:6 ~path:2 ~upper:10;
   Lowerbound.Track.note_call tr ~value:8 ~path:2 ~upper:10;
   (* Two LB-driven bound conflicts and one path-cost-only one. *)
@@ -78,9 +78,13 @@ let test_track_attribution () =
 
 let test_gap_series_roundtrip () =
   let tel = Telemetry.Ctx.create () in
-  let tr = Lowerbound.Track.create tel ~proc:"mis" in
-  Lowerbound.Track.gap_sample tr ~at:0.5 ~lb:3 ~ub:20;
-  Lowerbound.Track.gap_sample_now tr ~at:1.5 ~lb:7 ~ub:12;
+  let tr = Lowerbound.Track.create tel ~proc:"mis" ~floor:3 in
+  Lowerbound.Track.gap_sample tr ~at:0.5 ~ub:20;
+  Lowerbound.Track.publish_global_lb tr ~lb:7;
+  Lowerbound.Track.gap_sample_now tr ~at:1.5 ~ub:12;
+  (* a global bound past the incumbent proves it optimal: gap 0 *)
+  Lowerbound.Track.publish_global_lb tr ~lb:15;
+  Lowerbound.Track.gap_sample_now tr ~at:2.5 ~ub:12;
   (* Rebuild the report's "series" section the way Report.make does and
      re-read it through the public reader. *)
   let series = Telemetry.Registry.all_series tel.Telemetry.Ctx.registry in
@@ -109,14 +113,67 @@ let test_gap_series_roundtrip () =
       ]
   in
   match Bsolo.Report.series_of_json json Lowerbound.Track.gap_series_name with
-  | [ (t1, v1); (t2, v2) ] ->
+  | [ (t1, v1); (t2, v2); (_, v3) ] ->
     check_float "t1" 0.5 t1;
     check_float "lb1" 3. v1.(0);
     check_float "ub1" 20. v1.(1);
     check_float "t2" 1.5 t2;
     check_float "lb2" 7. v2.(0);
-    check_float "ub2" 12. v2.(1)
-  | other -> Alcotest.failf "expected 2 samples, got %d" (List.length other)
+    check_float "ub2" 12. v2.(1);
+    check_float "lb3 clamped to ub" 12. v3.(0)
+  | other -> Alcotest.failf "expected 3 samples, got %d" (List.length other)
+
+(* The gap series of a real solve, under every LB procedure: each sample
+   pairs a globally valid bound with the incumbent, so lb <= ub holds
+   and lb never decreases.  Small synthesis instances (large, uneven
+   costs) are where node-local bounds overshoot the incumbent.  Half the
+   instances get a negative objective offset (costs on negated
+   literals), so the offset floor is exercised too. *)
+let qcheck_gap_truthful =
+  let instance seed nodes =
+    Benchgen.Synthesis.generate
+      ~params:
+        { Benchgen.Synthesis.default with nodes; support_cells = nodes / 2; exclusions = nodes }
+      seed
+  in
+  let offset_variant problem =
+    let b = Pbo.Problem.Builder.create ~nvars:(Pbo.Problem.nvars problem) () in
+    Array.iter
+      (fun c -> Pbo.Problem.Builder.add_norm b (Pbo.Constr.Constr c))
+      (Pbo.Problem.constraints problem);
+    (match Pbo.Problem.objective problem with
+    | Some o ->
+      Pbo.Problem.Builder.set_objective b
+        (Array.to_list
+           (Array.map
+              (fun (t : Pbo.Problem.cost_term) -> -t.cost, Pbo.Lit.negate t.lit)
+              o.cost_terms))
+    | None -> ());
+    Pbo.Problem.Builder.build b
+  in
+  let gap_samples problem lb =
+    let tel = Telemetry.Ctx.create ~timing:false () in
+    let options = { (Bsolo.Options.with_lb lb) with telemetry = Some tel } in
+    ignore (Bsolo.Solver.solve ~options problem);
+    List.concat_map
+      (fun s ->
+        if Telemetry.Series.name s = Lowerbound.Track.gap_series_name then
+          List.map (fun (_, v) -> v.(0), v.(1)) (Telemetry.Series.samples s)
+        else [])
+      (Telemetry.Registry.all_series tel.Telemetry.Ctx.registry)
+  in
+  let rec truthful prev = function
+    | [] -> true
+    | (lb, ub) :: rest -> lb <= ub && lb >= prev && truthful lb rest
+  in
+  QCheck2.Test.make ~name:"gap series lb <= ub, lb never decreases" ~count:40
+    QCheck2.Gen.(triple (int_bound 10_000) (int_range 5 10) bool)
+    (fun (seed, nodes, shifted) ->
+      let problem = instance seed nodes in
+      let problem = if shifted then offset_variant problem else problem in
+      List.for_all
+        (fun lb -> truthful neg_infinity (gap_samples problem lb))
+        Bsolo.Options.[ Plain; Mis; Lgr; Lpr ])
 
 (* --- effectiveness --------------------------------------------------------- *)
 
@@ -309,6 +366,7 @@ let suite =
     Alcotest.test_case "tightness per-mille" `Quick test_tightness_pm;
     Alcotest.test_case "track attribution" `Quick test_track_attribution;
     Alcotest.test_case "gap series round-trip" `Quick test_gap_series_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_gap_truthful;
     Alcotest.test_case "effectiveness table" `Quick test_effectiveness;
     Alcotest.test_case "diff flags 2x slowdown" `Quick test_diff_flags_slowdown;
     Alcotest.test_case "diff below threshold" `Quick test_diff_below_threshold;

@@ -284,7 +284,7 @@ let heartbeat_file_round_trip () =
   T.Snapshot.write w { s with s_t = 2.5 };
   T.Snapshot.close w;
   T.Snapshot.close w (* idempotent *);
-  match Inspect.load_trace path with
+  match Inspect.load_jsonl path with
   | Error msg -> Alcotest.fail msg
   | Ok (lines, skipped) ->
     Alcotest.(check int) "no torn lines" 0 skipped;
@@ -311,7 +311,7 @@ let ticker_request_forces_snapshot () =
   Unix.sleepf 0.3 (* several polling quanta, still way under [every] *);
   T.Snapshot.Ticker.stop tk;
   T.Snapshot.close w;
-  match Inspect.load_trace path with
+  match Inspect.load_jsonl path with
   | Error msg -> Alcotest.fail msg
   | Ok (lines, _) ->
     let snaps = List.filter_map T.Snapshot.decode lines in

@@ -1,4 +1,4 @@
-(* Telemetry subsystem: timers, registry, JSON, trace sink, reports. *)
+(* Telemetry subsystem: timers, registry, JSON, recorder cost, reports. *)
 
 module T = Telemetry
 
@@ -113,65 +113,28 @@ let json_parser_errors () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2" ]
 
-let trace_round_trip () =
-  let path = Filename.temp_file "bsolo_trace" ".jsonl" in
-  let tr = T.Trace.open_file path in
-  Alcotest.(check bool) "enabled after open" true (T.Trace.enabled tr);
-  T.Trace.decision tr ~level:1 ~var:3 ~value:true;
-  T.Trace.bound_conflict tr ~lb:5 ~path:2 ~upper:7 ~level:4;
-  T.Trace.incumbent tr ~cost:9 ~conflicts:12;
-  T.Trace.backjump tr ~from_level:6 ~to_level:2 ~conflicts:13;
-  T.Trace.restart tr ~conflicts:20;
-  T.Trace.cut tr ~kind:"knapsack" ~size:4 ~degree:2;
-  Alcotest.(check int) "event count" 6 (T.Trace.events tr);
-  T.Trace.close tr;
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  Alcotest.(check int) "one line per event" 6 (List.length lines);
-  let evs =
-    List.map
-      (fun line ->
-        match T.Json.of_string line with
-        | Error e -> Alcotest.failf "invalid JSONL line %S: %s" line e
-        | Ok json ->
-          (match T.Json.member "t" json with
-          | Some (T.Json.Float _) | Some (T.Json.Int _) -> ()
-          | _ -> Alcotest.failf "line lacks timestamp: %S" line);
-          Option.bind (T.Json.member "ev" json) T.Json.to_string_opt
-          |> Option.value ~default:"?")
-      lines
-  in
-  Alcotest.(check (list string)) "event names in order"
-    [ "decision"; "bound_conflict"; "incumbent"; "backjump"; "restart"; "cut" ] evs;
-  (match T.Json.of_string (List.nth lines 1) with
-  | Ok json ->
-    Alcotest.(check (option int)) "bound_conflict carries the lb" (Some 5)
-      (Option.bind (T.Json.member "lb" json) T.Json.to_int)
-  | Error _ -> assert false);
-  Sys.remove path
-
-let trace_disabled_no_alloc () =
-  let tr = T.Trace.disabled () in
+(* recorder.mli promises typed emitters are free when disabled: the
+   event is not even constructed. *)
+let recorder_disabled_no_alloc () =
+  let r = T.Recorder.disabled () in
   (* warm up so any one-off allocation is out of the measured window *)
-  T.Trace.decision tr ~level:0 ~var:0 ~value:false;
+  T.Recorder.decision r ~level:0 ~var:0 ~value:false;
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
-    T.Trace.decision tr ~level:i ~var:i ~value:true;
-    T.Trace.restart tr ~conflicts:i;
-    T.Trace.incumbent tr ~cost:i ~conflicts:i
+    T.Recorder.decision r ~level:i ~var:i ~value:true;
+    T.Recorder.backjump r ~from_level:i ~to_level:0;
+    T.Recorder.lb_eval r ~proc:"lpr" ~value:i ~path:i ~upper:i ~elapsed_us:i ~pruned:true;
+    T.Recorder.prune r ~blame:"lpr" ~lb:i ~path:i ~upper:i ~from_level:i ~to_level:0;
+    T.Recorder.learned r ~size:i ~level:i;
+    T.Recorder.incumbent r ~cost:i;
+    T.Recorder.restart r
   done;
   let delta = Gc.minor_words () -. before in
   (* allow only the measurement's own boxing, not per-event allocation *)
   Alcotest.(check bool)
-    (Printf.sprintf "disabled sink allocates nothing observable (delta=%.0f)" delta)
+    (Printf.sprintf "disabled recorder allocates nothing observable (delta=%.0f)" delta)
     true (delta < 256.);
-  Alcotest.(check int) "no events recorded" 0 (T.Trace.events tr)
+  Alcotest.(check int) "no events recorded" 0 (T.Recorder.events_written r)
 
 let progress_ticks () =
   let fired = ref [] in
@@ -230,8 +193,7 @@ let suite =
     Alcotest.test_case "histogram buckets" `Quick histogram_buckets;
     Alcotest.test_case "json round-trip" `Quick json_round_trip;
     Alcotest.test_case "json parser rejects malformed input" `Quick json_parser_errors;
-    Alcotest.test_case "trace writes parseable JSONL" `Quick trace_round_trip;
-    Alcotest.test_case "disabled trace allocates nothing" `Quick trace_disabled_no_alloc;
+    Alcotest.test_case "disabled trace allocates nothing" `Quick recorder_disabled_no_alloc;
     Alcotest.test_case "progress reporter ticks" `Quick progress_ticks;
     Alcotest.test_case "counters snapshot from registry" `Quick counters_of_registry;
     Alcotest.test_case "run report round-trips" `Quick report_round_trip;
