@@ -31,7 +31,8 @@ let lb_tests () =
     Test.make ~name:"lb-lgr"
       (Staged.stage (fun () -> ignore (Lowerbound.Lgr.compute engine ~cap)));
     Test.make ~name:"lb-lpr"
-      (Staged.stage (fun () -> ignore (Lowerbound.Lpr.compute engine ~cap)));
+      (Staged.stage (fun () ->
+           ignore (Lowerbound.Lpr.compute_inc (Lowerbound.Lpr.make engine) ~cap)));
   ]
 
 let propagation_tests () =

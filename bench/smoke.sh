@@ -12,7 +12,9 @@
 # accounting reconciled, a --record-ring run killed with SIGTERM whose
 # tail must still parse, and a stitched --portfolio recording.  The
 # three --bcp propagation modes must produce identical optima and a
-# hybrid recording must replay cleanly under all three.
+# hybrid recording must replay cleanly under all three.  The MILP
+# baseline must prove the knap-s1 optimum, and the removed --trace FILE
+# must fail as a usage error without writing a file.
 # Exits non-zero on the first failure.
 #
 # With --proof, each smoke instance is additionally solved under
@@ -368,6 +370,30 @@ grep -q 'cut pool and presolve:' "$tmpdir/cuts-inspect.out" || {
   echo "FAIL: inspect report has no cut-pool table"; cat "$tmpdir/cuts-inspect.out"; exit 1;
 }
 echo "cut modes: identical optima, counters and pool table present"
+
+echo "== MILP baseline proves the knapsack optimum (--engine milp) =="
+# Branch-and-bound re-solves one warm LP across the whole tree; it must
+# prove the optimum bsolo finds (300) well inside the budget.
+timeout 120 "$bsolo" benchmarks/knap-s1.opb --engine milp --timeout 60 \
+  >"$tmpdir/milp.out" 2>&1 || {
+  echo "FAIL: --engine milp solve failed or hit the hard timeout"; cat "$tmpdir/milp.out"; exit 1;
+}
+grep -q '^s OPTIMUM FOUND$' "$tmpdir/milp.out" || {
+  echo "FAIL: --engine milp did not prove the optimum"; cat "$tmpdir/milp.out"; exit 1;
+}
+[ "$(grep '^o ' "$tmpdir/milp.out" | tail -1)" = "o 300" ] || {
+  echo "FAIL: --engine milp optimum is not 300"; grep '^o ' "$tmpdir/milp.out"; exit 1;
+}
+echo "milp: $(grep '^c OPTIMAL' "$tmpdir/milp.out")"
+
+echo "== removed --trace FILE is a usage error =="
+# Prefix matching must not route a stale --trace to --trace-spans.
+if "$bsolo" benchmarks/synth-s1.opb --trace "$tmpdir/stale-trace" \
+  >"$tmpdir/trace.out" 2>&1; then
+  echo "FAIL: --trace FILE was accepted"; cat "$tmpdir/trace.out"; exit 1
+fi
+[ ! -e "$tmpdir/stale-trace" ] || { echo "FAIL: --trace wrote a file"; exit 1; }
+echo "--trace: rejected, no file written"
 
 if [ "$with_proof" = 1 ]; then
   echo "== proof-checked solves (--proof) =="

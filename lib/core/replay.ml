@@ -34,6 +34,9 @@ let flag_lp_branching = 0x8
 let flag_preprocess = 0x10
 let flag_strengthen = 0x20
 let flag_restarts = 0x40
+(* Always set: the warm incremental LP is the only LP path.  A header
+   with this bit clear was written with the removed cold-LPR flag
+   (per-node cold LP re-solves), which a replay cannot reproduce. *)
 let flag_lpr_warm = 0x80
 let flag_lb_adaptive = 0x100
 let flag_reduce_db = 0x200
@@ -53,7 +56,7 @@ let flags_of_options (o : Options.t) =
   lor b o.preprocess flag_preprocess
   lor b o.constraint_strengthening flag_strengthen
   lor b o.restarts flag_restarts
-  lor b o.lpr_warm flag_lpr_warm
+  lor flag_lpr_warm
   lor b o.lb_adaptive flag_lb_adaptive
   lor b o.reduce_db flag_reduce_db
   lor b (Option.is_some o.proof) flag_proof
@@ -72,10 +75,14 @@ let lb_method_of_name = function
   | _ -> None
 
 let options_of_header (h : R.header) =
+  let has bit = h.h_flags land bit <> 0 in
   match lb_method_of_name (String.lowercase_ascii h.h_lb_method) with
   | None -> Error (Printf.sprintf "unknown lower-bound method %S in header" h.h_lb_method)
+  | Some _ when not (has flag_lpr_warm) ->
+    Error
+      "recording was made with the removed cold-LPR flag (per-node cold LP re-solves); \
+       a replay on the warm LP could diverge from it"
   | Some lb_method ->
-    let has bit = h.h_flags land bit <> 0 in
     Ok
       {
         Options.default with
@@ -87,7 +94,6 @@ let options_of_header (h : R.header) =
         preprocess = has flag_preprocess;
         constraint_strengthening = has flag_strengthen;
         restarts = has flag_restarts;
-        lpr_warm = has flag_lpr_warm;
         lb_adaptive = has flag_lb_adaptive;
         reduce_db = has flag_reduce_db;
         presolve = has flag_presolve;

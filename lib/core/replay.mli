@@ -24,7 +24,8 @@
 
 val flags_of_options : Options.t -> int
 (** Option bitmask stored in the recording header — every boolean that
-    shapes the search tree, plus whether proof logging was on. *)
+    shapes the search tree, plus whether proof logging was on.  Bit
+    [0x80] is always set: it marks the warm LP, the only LP path. *)
 
 val flag_proof : int
 (** The proof-mode bit, exposed so a caller that only holds a proof
@@ -34,7 +35,8 @@ val options_of_header : Telemetry.Recorder.header -> (Options.t, string) result
 (** Reconstruct solver options from a recording header.  Limits stay
     unset: a budget-terminated recording is cut off by the replay
     cursor reaching its final frame instead, which is exact where a
-    re-imposed wall-clock limit would not be. *)
+    re-imposed wall-clock limit would not be.  [Error] on a header with
+    bit [0x80] clear: it was recorded with the removed cold-LPR flag. *)
 
 type mismatch = {
   at : int;  (** index into the recording's event list *)

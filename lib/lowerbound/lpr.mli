@@ -2,31 +2,25 @@
     the bound-conflict explanation of Section 4.2 and the LP-guided
     branching hint of Section 5.
 
-    The residual problem is relaxed to [0 <= x <= 1] and solved with the
-    {!Simplex} substrate.  [ceil] of the LP optimum (plus the residual
-    objective offset) lower-bounds the cost of any completion.  The
-    explanation is built from the rows that are tight at the LP optimum
-    (rows with zero surplus); when the LP is infeasible, from the rows of
-    the phase-1 infeasibility witness, and the bound is [cap]. *)
+    One fixed-structure LP over all variables ({!Residual.Full}) is kept
+    alive across search nodes: its column bounds track the trail via
+    {!Engine.Solver_core.drain_changed_vars} and {!Simplex.Incremental}
+    re-optimizes it with a dual simplex from the previous basis.  Fixing
+    the assigned columns turns the full LP into the residual relaxation
+    ([0 <= x <= 1] on the free variables), so the full LP optimum minus
+    the path cost equals the residual LP optimum; [ceil] of it
+    lower-bounds the cost of any completion.  The explanation is built
+    from the rows that are tight at the LP optimum (rows with zero
+    surplus); when the LP is infeasible, from the rows of the Farkas
+    witness, and the bound is [cap].
 
-val compute : Engine.Solver_core.t -> cap:int -> Bound.t
-(** [cap] is the value reported when the relaxation is infeasible; pass
-    at least [upper - path] so the node prunes.  Cold path: re-extracts
-    the residual problem and solves from scratch on every call. *)
+    A solve is skipped entirely when the cached outcome is provably
+    still valid (no effective edits; fixes landing exactly on the
+    previous LP optimum; pure tightenings of an infeasible system).
 
-(** {1 Incremental path}
-
-    Persistent state for warm-started re-solves across search nodes: one
-    fixed-structure LP ({!Residual.Full}) whose column bounds track the
-    trail via {!Engine.Solver_core.drain_changed_vars}, re-optimized by
-    {!Simplex.Incremental}'s dual simplex from the previous basis.  A
-    solve is skipped entirely when the cached outcome is provably still
-    valid (no effective edits; fixes landing exactly on the previous LP
-    optimum; pure tightenings of an infeasible system).
-
-    Telemetry: [lpr.warm_hits] / [lpr.warm_iters] / [lpr.cold_falls] /
-    [lpr.cache_hits] counters; the solver records each call as one
-    [Lb_eval] flight-recorder frame. *)
+    Telemetry: [lpr.calls] / [lpr.warm_hits] / [lpr.warm_iters] /
+    [lpr.cold_falls] / [lpr.cache_hits] counters; the solver records
+    each call as one [Lb_eval] flight-recorder frame. *)
 
 type inc
 
@@ -34,7 +28,7 @@ val make : ?cuts:Cuts.config -> Engine.Solver_core.t -> inc
 (** Snapshot the engine's lower-bounding constraint set and current
     assignment.  Create once per search (after preprocessing); the
     constraint rows are fixed from then on — later learned constraints
-    never join the LP, matching the cold path's [in_lb] view.
+    never join the LP.
 
     With [cuts], each {!compute_inc} evaluation runs a bounded
     separation loop on top of the fixed rows: solve, separate violated
@@ -48,6 +42,7 @@ val make : ?cuts:Cuts.config -> Engine.Solver_core.t -> inc
     literals into bound-conflict certificates and explanations. *)
 
 val compute_inc : inc -> cap:int -> Bound.t
-(** Same contract as {!compute}, warm.  Equal bound values to {!compute}
-    on every node (the full LP optimum minus the path contribution equals
-    the residual optimum). *)
+(** Evaluate the bound at the engine's current assignment.  [cap] is the
+    value reported when the relaxation is infeasible; pass at least
+    [upper - path] so the node prunes.  A fresh [make] followed by one
+    call is a cold solve of the residual LP. *)

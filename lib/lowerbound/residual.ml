@@ -68,10 +68,6 @@ let extract engine =
   let cols = Array.of_list (List.rev !cols) in
   { cols; ncols = !ncols; obj; obj_offset = !obj_offset; rows }
 
-let col_of_var t v =
-  let rec find i = if i >= Array.length t.cols then None else if t.cols.(i) = v then Some i else find (i + 1) in
-  find 0
-
 (* --- fixed-structure relaxation for incremental re-solving --------------- *)
 
 module Full = struct

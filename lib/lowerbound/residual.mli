@@ -3,7 +3,8 @@ open Pbo
 (** The residual problem at a search node: the still-unsatisfied
     lower-bound-eligible constraints restricted to unassigned variables,
     in signed variable form ([~x] rewritten as [1 - x]), together with the
-    residual objective.  Shared by the LPR and LGR procedures. *)
+    residual objective.  The LGR procedure relaxes this form; LPR keeps
+    the full-variable LP of {!Full} instead. *)
 
 type row = {
   cid : Engine.Solver_core.cid;  (** constraint this row came from *)
@@ -23,8 +24,6 @@ type t = {
 }
 
 val extract : Engine.Solver_core.t -> t
-
-val col_of_var : t -> Lit.var -> int option
 
 (** Fixed-structure LP relaxation for incremental re-solving: one LP over
     {e all} problem variables (column [j] = variable [j]) and every

@@ -100,21 +100,21 @@ let relaxation_of problem =
   let rows = Array.map row_of (Problem.constraints problem) in
   { nvars; obj; obj_offset = !obj_offset; rows }
 
-let lp_for relax fixings =
-  let lower = Array.make (max relax.nvars 1) 0. in
-  let upper = Array.make (max relax.nvars 1) 1. in
-  List.iter
-    (fun (v, b) ->
-      if b then lower.(v) <- 1. else upper.(v) <- 0.)
-    fixings;
-  { Simplex.ncols = relax.nvars; lower; upper; objective = relax.obj; rows = relax.rows }
+let root_lp relax =
+  let n = max relax.nvars 1 in
+  {
+    Simplex.ncols = relax.nvars;
+    lower = Array.make n 0.;
+    upper = Array.make n 1.;
+    objective = relax.obj;
+    rows = relax.rows;
+  }
 
-let most_fractional x fixings nvars =
-  let fixed = Hashtbl.create 16 in
-  List.iter (fun (v, _) -> Hashtbl.replace fixed v ()) fixings;
+(* [pushed.(v)] is the fixing currently applied to column [v]. *)
+let most_fractional x pushed nvars =
   let best = ref None in
   for v = 0 to nvars - 1 do
-    if not (Hashtbl.mem fixed v) then begin
+    if pushed.(v) = None then begin
       let frac = abs_float (x.(v) -. 0.5) in
       match !best with
       | Some (f, _) when f <= frac -> ()
@@ -123,16 +123,13 @@ let most_fractional x fixings nvars =
   done;
   !best
 
-let first_unfixed fixings nvars =
-  let fixed = Hashtbl.create 16 in
-  List.iter (fun (v, _) -> Hashtbl.replace fixed v ()) fixings;
-  let rec go v = if v >= nvars then None else if Hashtbl.mem fixed v then go (v + 1) else Some v in
+let first_unfixed pushed nvars =
+  let rec go v = if v >= nvars then None else if pushed.(v) <> None then go (v + 1) else Some v in
   go 0
 
-let model_of_rounding x fixings nvars =
-  let a = Array.init nvars (fun v -> x.(v) >= 0.5) in
-  List.iter (fun (v, b) -> a.(v) <- b) fixings;
-  Model.of_array a
+let model_of_rounding x pushed nvars =
+  Model.of_array
+    (Array.init nvars (fun v -> match pushed.(v) with Some b -> b | None -> x.(v) >= 0.5))
 
 let flush_simplex reg (s : Simplex.stats) =
   let add name n =
@@ -156,6 +153,25 @@ let solve ?(options = Bsolo.Options.default) problem =
   let decisions_c = Telemetry.Registry.counter tel.registry "engine.decisions" in
   let recorder = tel.Telemetry.Ctx.recorder in
   let relax = relaxation_of problem in
+  (* One LP for the whole tree: each node's fixings are applied as
+     column-bound edits against [pushed], the per-variable mirror of the
+     fixings last applied, and the dual simplex re-solves from the
+     previous node's basis. *)
+  let sx = Simplex.Incremental.create (root_lp relax) in
+  let pushed = Array.make relax.nvars None in
+  let wanted = Array.make relax.nvars None in
+  let apply_fixings fixings =
+    List.iter (fun (v, b) -> wanted.(v) <- Some b) fixings;
+    for v = 0 to relax.nvars - 1 do
+      if wanted.(v) <> pushed.(v) then begin
+        (match wanted.(v) with
+        | Some b -> Simplex.Incremental.fix sx v (if b then 1. else 0.)
+        | None -> Simplex.Incremental.unfix sx v);
+        pushed.(v) <- wanted.(v)
+      end;
+      wanted.(v) <- None
+    done
+  in
   let heap = Heap.create () in
   let best = ref None in
   let upper = ref max_int in
@@ -224,12 +240,12 @@ let solve ?(options = Bsolo.Options.default) problem =
       if !upper < max_int && int_of_float (ceil (node.bound -. 1e-6)) >= !upper then ()
       else begin
         Telemetry.Counter.incr lp_calls_c;
+        apply_fixings node.fixings;
         let sstats = Simplex.stats () in
         let t0 = Unix.gettimeofday () in
         let lp_outcome =
           Telemetry.Ctx.with_phase tel Telemetry.Phase.Simplex (fun () ->
-              Simplex.solve ~max_iters:2000 ~should_stop:lp_should_stop ~stats:sstats
-                (lp_for relax node.fixings))
+              Simplex.Incremental.reoptimize ~should_stop:lp_should_stop ~stats:sstats sx)
         in
         let lp_elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
         flush_simplex tel.registry sstats;
@@ -248,8 +264,8 @@ let solve ?(options = Bsolo.Options.default) problem =
           record_lp ~value:bound_int ~pruned;
           if pruned then ()
           else begin
-            try_incumbent (model_of_rounding sol.x node.fixings relax.nvars);
-            match most_fractional sol.x node.fixings relax.nvars with
+            try_incumbent (model_of_rounding sol.x pushed relax.nvars);
+            match most_fractional sol.x pushed relax.nvars with
             | None ->
               (* LP solution is integral; the rounding above recorded it *)
               ()
@@ -267,7 +283,7 @@ let solve ?(options = Bsolo.Options.default) problem =
         | Simplex.Unbounded | Simplex.Iteration_limit _ ->
           record_lp ~value:0 ~pruned:false;
           (* cannot prune: branch blindly on the first unfixed variable *)
-          (match first_unfixed node.fixings relax.nvars with
+          (match first_unfixed pushed relax.nvars with
           | None -> ()
           | Some v ->
             let child b = { bound = node.bound; depth = node.depth + 1; fixings = (v, b) :: node.fixings } in

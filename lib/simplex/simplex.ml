@@ -440,17 +440,6 @@ let flush_stats stats st ~iters ~phase1_iters ~pivots0 ~refresh0 =
 
 let never_stop () = false
 
-let solve ?(eps = 1e-7) ?max_iters ?(should_stop = never_stop) ?stats (p : problem) =
-  let st = init_state ~eps p in
-  let max_iters =
-    match max_iters with Some k -> k | None -> default_max_iters ~m:st.m ~n:st.n
-  in
-  let iters = ref 0 in
-  let phase1_iters = ref 0 in
-  let result = two_phase st p ~max_iters ~iters ~phase1_iters ~should_stop in
-  flush_stats stats st ~iters:!iters ~phase1_iters:!phase1_iters ~pivots0:0 ~refresh0:0;
-  result
-
 (* ------------------------------------------------------------------ *)
 (* Incremental re-solving: bounded-variable dual simplex warm-started  *)
 (* from the previous basis after column-bound edits.                   *)
@@ -588,10 +577,8 @@ module Incremental = struct
       pivots_at_rebuild = 0;
     }
 
-  let ncols t = t.base.ncols
   let nrows t = Array.length t.base.rows
   let last_info t = t.info
-  let invalidate t = t.have_basis <- false
 
   (* Rebuild the state for the edited base problem without a usable
      basis; the next [reoptimize] solves cold. *)

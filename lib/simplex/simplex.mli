@@ -1,5 +1,7 @@
-(** Dense two-phase primal simplex with variable bounds, plus an
-    incremental bounded-variable dual simplex for warm re-solves.
+(** Bounded-variable simplex with one entry point, {!Incremental}: a
+    persistent LP that is re-optimized warm with a dual simplex after
+    column-bound and row edits, and solved cold with a dense two-phase
+    primal simplex on its first call (or when no usable basis exists).
 
     Solves
 
@@ -14,9 +16,9 @@
     The implementation is the textbook bounded-variable simplex on a dense
     tableau: each row gets a slack/surplus column, phase 1 minimizes the
     sum of artificial columns, nonbasic variables rest at one of their
-    bounds, and the ratio test allows bound flips.  {!Incremental} keeps
-    the tableau and basis alive between calls and re-optimizes after
-    column-bound edits with a dual simplex from the previous basis. *)
+    bounds, and the ratio test allows bound flips.  The tableau and basis
+    stay alive between calls.  A one-off cold solve is
+    [Incremental.reoptimize (Incremental.create p)]. *)
 
 type rel =
   | Ge
@@ -63,7 +65,7 @@ type outcome =
           dual-feasible iterate was available *)
 
 type stats = {
-  mutable calls : int;  (** [solve]/[Incremental.reoptimize] invocations *)
+  mutable calls : int;  (** [Incremental.reoptimize] invocations *)
   mutable iterations : int;  (** simplex steps, bound flips included *)
   mutable phase1_iters : int;
   mutable phase2_iters : int;  (** phase-2 primal and dual-simplex steps *)
@@ -72,21 +74,9 @@ type stats = {
 }
 
 val stats : unit -> stats
-(** Fresh all-zero record.  Pass the same record to successive [solve]
-    calls to accumulate across them; the library itself stays free of
-    global state. *)
-
-val solve :
-  ?eps:float -> ?max_iters:int -> ?should_stop:(unit -> bool) -> ?stats:stats -> problem -> outcome
-(** [eps] defaults to [1e-7]; [max_iters] defaults to
-    [200 + 20 * (m + ncols)].  When [stats] is given, the call's work
-    figures are added to it on every exit path.
-
-    [should_stop] is polled every 64 iterations; when it fires, the call
-    exits through the {!Iteration_limit} path, so a cancelled solve still
-    reports the safe truncated dual bound when one is available.  This is
-    the cooperative-cancellation poll point for long LP solves (parallel
-    portfolio stop flag, wall-clock deadlines). *)
+(** Fresh all-zero record.  Pass the same record to successive
+    [Incremental.reoptimize] calls to accumulate across them; the library
+    itself stays free of global state. *)
 
 (** Persistent LP state for sequences of re-solves that differ only in
     column bounds — the B&B lower-bounding workload.  After [fix]/[unfix]
@@ -106,10 +96,8 @@ module Incremental : sig
   }
 
   val create : ?eps:float -> problem -> t
-  (** Snapshot [problem] (bounds are copied).  The first [reoptimize] is
-      necessarily cold. *)
-
-  val ncols : t -> int
+  (** Snapshot [problem] (bounds are copied); [eps] defaults to [1e-7].
+      The first [reoptimize] is necessarily cold. *)
 
   val fix : t -> int -> float -> unit
   (** [fix t j v] pins column [j] to value [v] (both bounds). *)
@@ -140,14 +128,19 @@ module Incremental : sig
   val reoptimize :
     ?max_iters:int -> ?should_stop:(unit -> bool) -> ?stats:stats -> t -> outcome
   (** Re-solve under the current bounds.  [Infeasible] witnesses index
-      rows of the base problem.  Warm calls that hit the iteration limit
-      report [Iteration_limit (Some z)] with the dual objective reached,
-      which is a valid lower bound under the current bounds.
-      [should_stop] is polled as in {!Simplex.solve}. *)
+      rows of the base problem.  Calls that hit the iteration limit
+      report [Iteration_limit (Some z)] with the dual objective reached
+      when it is a valid lower bound under the current bounds.
+      [max_iters] defaults to [200 + 20 * (m + ncols)].  When [stats] is
+      given, the call's work figures are added to it on every exit path.
+
+      [should_stop] is polled every 64 iterations; when it fires, the
+      call exits through the {!Iteration_limit} path, so a cancelled
+      solve still reports the safe truncated dual bound when one is
+      available.  This is the cooperative-cancellation poll point for
+      long LP solves (parallel portfolio stop flag, wall-clock
+      deadlines). *)
 
   val last_info : t -> info
   (** Telemetry for the most recent [reoptimize] call. *)
-
-  val invalidate : t -> unit
-  (** Drop the stored basis; the next [reoptimize] solves cold. *)
 end

@@ -57,10 +57,30 @@ let objective_offsets () =
   let o = Milp.Branch_and_bound.solve p in
   Alcotest.(check (option int)) "optimum" (Some (-3)) (Bsolo.Outcome.best_cost o)
 
+(* One warm LP per tree: after the root's cold two-phase solve, child
+   nodes re-optimize from the parent basis with the dual simplex, so
+   phase-1 work stays a small share of all simplex iterations. *)
+let warm_nodes_skip_phase1 () =
+  let problem = Benchgen.Knapsack.generate 1 in
+  let tel = Telemetry.Ctx.silent () in
+  let o =
+    Milp.Branch_and_bound.solve
+      ~options:{ Bsolo.Options.default with node_limit = Some 200; telemetry = Some tel }
+      problem
+  in
+  let counter name =
+    Option.value ~default:0 (Telemetry.Registry.find_counter tel.Telemetry.Ctx.registry name)
+  in
+  let iters = counter "simplex.iterations" and phase1 = counter "simplex.phase1_iters" in
+  if o.counters.nodes < 50 then Alcotest.failf "only %d nodes: instance does not branch" o.counters.nodes;
+  if 4 * phase1 >= iters then
+    Alcotest.failf "phase-1 iterations %d of %d: nodes are not warm-started" phase1 iters
+
 let suite =
   [
     Alcotest.test_case "satisfaction verdicts" `Quick satisfaction_verdicts;
     Alcotest.test_case "models satisfy" `Quick reports_model_that_satisfies;
     Alcotest.test_case "anytime under budget" `Quick anytime_bound_under_budget;
     Alcotest.test_case "objective offsets" `Quick objective_offsets;
+    Alcotest.test_case "warm nodes skip phase 1" `Quick warm_nodes_skip_phase1;
   ]

@@ -250,6 +250,27 @@ let test_replay_rejects_ring () =
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "replay accepted a dropped-prefix ring recording")
 
+(* Bit 0x80 is set on every recording; a header with it clear was
+   written with the removed cold-LPR flag and must not be replayed on
+   the warm LP. *)
+let test_replay_rejects_removed_lp_flag () =
+  let base = Bsolo.Replay.flags_of_options Bsolo.Options.default in
+  List.iter
+    (fun lb ->
+      let flags = Bsolo.Replay.flags_of_options (Bsolo.Options.with_lb lb) in
+      Alcotest.(check bool) "warm-LP bit always set" true (flags land 0x80 <> 0))
+    [ Bsolo.Options.Plain; Bsolo.Options.Mis; Bsolo.Options.Lgr; Bsolo.Options.Lpr ];
+  (match Bsolo.Replay.options_of_header (header ~flags:base ()) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "current header rejected: %s" msg);
+  match Bsolo.Replay.options_of_header (header ~flags:(base land lnot 0x80) ()) with
+  | Ok _ -> Alcotest.fail "accepted a cold-LPR recording header"
+  | Error msg ->
+    Alcotest.(check bool)
+      ("error names the removed flag: " ^ msg)
+      true
+      (Test_obsd.contains msg "cold-LPR")
+
 let suite =
   [
     Alcotest.test_case "codec: all events round-trip" `Quick test_codec_round_trip;
@@ -261,4 +282,5 @@ let suite =
     Alcotest.test_case "forensics: blame accounts for all nodes" `Quick test_forensics_accounting;
     Alcotest.test_case "replay: recorded runs replay exactly" `Quick test_replay_matches;
     Alcotest.test_case "replay: rejects ring recordings" `Quick test_replay_rejects_ring;
+    Alcotest.test_case "replay: rejects cold-LPR headers" `Quick test_replay_rejects_removed_lp_flag;
   ]

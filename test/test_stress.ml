@@ -1,6 +1,9 @@
 open Pbo
 module Core = Engine.Solver_core
 
+(* One cold two-phase solve: a fresh context's first [reoptimize]. *)
+let cold p = Simplex.Incremental.(reoptimize (create p))
+
 (* reduce_db invoked at arbitrary interior states must preserve slacks,
    reasons and eventual exactness. *)
 let reduce_db_mid_search () =
@@ -178,7 +181,7 @@ let simplex_mixed_relations () =
       in
       if List.for_all ok rows then int_feasible := true
     done;
-    match Simplex.solve problem with
+    match cold problem with
     | Simplex.Optimal _ -> ()
     | Simplex.Infeasible _ ->
       if !int_feasible then Alcotest.failf "seed %d: LP infeasible but IP feasible" seed
