@@ -202,9 +202,16 @@ done
 grep -q '"schema":"bsolo-status/1"' "$tmpdir/status.json" || {
   echo "FAIL: /status schema marker missing"; cat "$tmpdir/status.json"; exit 1;
 }
-"$bsolo" top --connect "127.0.0.1:$port" --get /metrics >"$tmpdir/scrape.prom" || {
-  echo "FAIL: /metrics scrape failed"; exit 1;
-}
+# Portfolio member gauges appear with the first heartbeat tick, so a
+# scrape that lands before it sees none: re-scrape for up to ~5 s until
+# one shows.  The assertion below is unchanged.
+for _ in $(seq 1 50); do
+  "$bsolo" top --connect "127.0.0.1:$port" --get /metrics >"$tmpdir/scrape.prom" || {
+    echo "FAIL: /metrics scrape failed"; exit 1;
+  }
+  grep -q '^bsolo_portfolio_' "$tmpdir/scrape.prom" && break
+  sleep 0.1
+done
 echo "== scraped exposition is lint-clean (inspect --metrics) =="
 "$bsolo" inspect --metrics "$tmpdir/scrape.prom" || {
   echo "FAIL: scraped /metrics exposition failed lint"; exit 1;

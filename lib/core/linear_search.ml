@@ -24,7 +24,8 @@ type state = {
   mutable restart_budget : int;
   mutable conflicts_since_restart : int;
   luby : Engine.Luby.t;
-  reduced : (Core.cid, unit) Hashtbl.t;
+  knapsack : Knapsack.source;  (* the eq. (10) cut source, one engine slot *)
+  reduced : (Core.cid * int, unit) Hashtbl.t;  (* (cid, degree): a cut slot's degree rises *)
   start : float;
   deadline : float option;
 }
@@ -41,16 +42,19 @@ let out_of_budget st =
    conflict resolution: derive a PB resolvent of the conflict and store it
    (stronger propagation than the 1UIP clause alone).  The cardinality
    reduction of genuine PB conflict constraints is kept as a cheap
-   complement, memoized per constraint. *)
+   complement, memoized per constraint and degree. *)
 let learn_cardinality_reduction st ci =
-  if st.pb_learning && not (Hashtbl.mem st.reduced ci) then begin
-    Hashtbl.replace st.reduced ci ();
+  if st.pb_learning then begin
     let c = Core.constr_of st.engine ci in
-    if not (Constr.is_cardinality c) then begin
-      let lits = Constr.fold_lits List.cons c [] in
-      match Constr.cardinality lits (Constr.min_true_count c) with
-      | Constr.Constr card -> ignore (Core.add_constraint_dynamic st.engine card)
-      | Constr.Trivial_true | Constr.Trivial_false -> ()
+    let key = ci, Constr.degree c in
+    if not (Hashtbl.mem st.reduced key) then begin
+      Hashtbl.replace st.reduced key ();
+      if not (Constr.is_cardinality c) then begin
+        let lits = Constr.fold_lits List.cons c [] in
+        match Constr.cardinality lits (Constr.min_true_count c) with
+        | Constr.Constr card -> ignore (Core.add_constraint_dynamic st.engine card)
+        | Constr.Trivial_true | Constr.Trivial_false -> ()
+      end
     end
   end
 
@@ -106,10 +110,25 @@ let record_model st =
     | None -> ()
   end
 
+(* Tighten the knapsack slot to the eq. (10) cut for [upper], which is
+   also PBS's blocking mechanism: linear search prunes through the
+   constraint store, not through bound conflicts.  [trivial] is the
+   verdict when the cut holds for every assignment. *)
+let tighten_knapsack st ~trivial =
+  match Knapsack.cut st.knapsack ~upper:st.upper with
+  | Constr.Trivial_false -> `Stop
+  | Constr.Trivial_true -> trivial
+  | Constr.Constr c ->
+    (match Core.tighten_cut st.engine ~slot:(Knapsack.slot st.knapsack) c with
+    | None -> `Continue
+    | Some ci ->
+      (match Core.resolve_conflict st.engine ci with
+      | Core.Root_conflict -> `Stop
+      | Core.Backjump _ -> `Continue))
+
 (* Shared-incumbent import (parallel portfolio): adopt an externally found
-   upper bound and immediately block it with the eq. (10) cut, exactly as
-   if the model had been found locally — linear search prunes through the
-   constraint store, not through bound conflicts. *)
+   upper bound and immediately block it, exactly as if the model had been
+   found locally. *)
 let poll_external st =
   match st.options.external_incumbent with
   | None -> `Continue
@@ -121,36 +140,13 @@ let poll_external st =
       Telemetry.Counter.incr st.imports;
       Telemetry.Profile.Cell.update_ub ~self:false st.tel.cell (float_of_int ext);
       Telemetry.Recorder.import st.recorder ~cost:ext ~member;
-      (match Knapsack.upper_cut (Core.problem st.engine) ~upper:st.upper with
-      | Constr.Trivial_false -> `Stop
-      | Constr.Trivial_true -> `Continue
-      | Constr.Constr c ->
-        (match Core.add_constraint_dynamic st.engine c with
-        | None -> `Continue
-        | Some ci ->
-          (match Core.resolve_conflict st.engine ci with
-          | Core.Root_conflict -> `Stop
-          | Core.Backjump _ -> `Continue)))
+      tighten_knapsack st ~trivial:`Continue
     | Some _ | None -> `Continue)
 
-(* Require the next solution to improve on the incumbent: the constraint
-   of eq. (10), which is also PBS's blocking mechanism. *)
+(* Require the next solution to improve on the incumbent.  An empty
+   objective makes the cut trivial: any model is optimal. *)
 let block_incumbent st =
-  if st.satisfaction then `Stop
-  else begin
-    match Knapsack.upper_cut (Core.problem st.engine) ~upper:st.upper with
-    | Constr.Trivial_false -> `Stop
-    | Constr.Trivial_true ->
-      (* empty objective: any model is optimal *)
-      `Stop
-    | Constr.Constr c ->
-      (match Core.add_constraint_dynamic st.engine c with
-      | None -> `Continue
-      | Some ci ->
-        (match Core.resolve_conflict st.engine ci with
-        | Core.Root_conflict -> `Stop
-        | Core.Backjump _ -> `Continue))
-  end
+  if st.satisfaction then `Stop else tighten_knapsack st ~trivial:`Stop
 
 let rec search st =
   if out_of_budget st then Out_of_budget
@@ -239,6 +235,7 @@ let solve ?(options = pbs_like) ?(pb_learning = false) ?(cutting_planes = false)
       restart_budget = 100;
       conflicts_since_restart = 0;
       luby = Engine.Luby.create ~base:100;
+      knapsack = Knapsack.knapsack_source problem;
       reduced = Hashtbl.create 64;
       start;
       deadline = Option.map (fun l -> start +. l) options.time_limit;

@@ -21,6 +21,9 @@ type search_state = {
   imports : Telemetry.Counter.t;  (* external incumbents that tightened [upper] *)
   mutable imported : bool;  (* an import is (or was) the active upper bound *)
   track : Lowerbound.Track.t;  (* bound-quality instruments for lb_method *)
+  cut_sources : (Knapsack.source * Telemetry.Counter.t Lazy.t) list Lazy.t;
+      (* the enabled Section 5 cut sources, each with its counter
+         (registered at the first cut, as the report lists only those) *)
   mutable lpr_inc : Lowerbound.Lpr.inc option;  (* warm LP state, created lazily *)
   mutable cuts : Cuts.config option;  (* separation pool, built after preprocessing *)
   mutable lb_skip : int;  (* adaptive multiplier on lb_every, 1..8 *)
@@ -147,52 +150,41 @@ let record_incumbent st =
     st.on_incumbent m (cost + st.offset)
   end
 
-(* Push the knapsack cut (10) and the cardinality-inference cuts (13) for
-   the new upper bound; returns a conflicting cut if any (expected: the
-   knapsack cut is violated by the incumbent assignment itself). *)
+(* Tighten the knapsack cut (10) and the cardinality-inference cuts (13)
+   to the new upper bound, each in its own engine slot; returns a
+   conflicting cut if any (expected: the knapsack cut is violated by the
+   incumbent assignment itself). *)
 let add_incumbent_cuts st =
-  Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Cut_generation (fun () ->
-      let problem = Core.problem st.engine in
-      let cuts =
-        (* the knapsack cut (10) needs no proof step: it is exactly the
+  Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Incumbent_cuts (fun () ->
+      let add conflict (source, counter) =
+        (* The knapsack cut (10) needs no proof step: it is exactly the
            objective cut the checker introduces on its own at every
-           verified solution or import *)
-        (if st.options.knapsack_cuts then
-           [ "knapsack", None, Knapsack.upper_cut problem ~upper:st.upper ]
-         else [])
-        @
-        if st.options.cardinality_inference then
-          List.map
-            (fun (cid, c) -> "cardinality", Some cid, c)
-            (Knapsack.cardinality_inferences_cids problem ~upper:st.upper)
-        else []
-      in
-      let add conflict (kind, cid, norm) =
-        (* In proof mode a cardinality cut is only usable when its [d]
-           step can reference the untouched original constraint; a cid
-           aliased to a presolve tightening has no checker-side cut, so
-           the inference is skipped rather than trusted. *)
+           verified solution or import.  A cardinality cut is logged as a
+           [d] step at every tightening, and is only usable when that step
+           can reference the untouched original constraint; a cid aliased
+           to a presolve tightening has no checker-side cut, so the
+           inference is skipped rather than trusted. *)
         let loggable =
-          match st.options.proof, cid with
+          match st.options.proof, Knapsack.origin source with
           | Some proof, Some cid -> Proof.log_cardinality_cut proof ~cid
           | Some _, None | None, _ -> true
         in
         if not loggable then conflict
         else
-        match norm with
+        match Knapsack.cut source ~upper:st.upper with
         | Constr.Trivial_true -> conflict
         | Constr.Trivial_false ->
           (* no strictly better solution can exist; close the search by
              learning the empty bound *)
           Some `Root
         | Constr.Constr c ->
-          Telemetry.Counter.incr (Telemetry.Registry.counter st.tel.registry ("cuts." ^ kind));
-          (match conflict, Core.add_constraint_dynamic st.engine ~in_lb:false c with
+          Telemetry.Counter.incr (Lazy.force counter);
+          (match conflict, Core.tighten_cut st.engine ~slot:(Knapsack.slot source) c with
           | (Some _ as found), _ -> found
           | None, Some ci -> Some (`Cid ci)
           | None, None -> None)
       in
-      List.fold_left add None cuts)
+      List.fold_left add None (Lazy.force st.cut_sources))
 
 (* A bound conflict (eq. 7) fired: build omega_bc and run conflict
    analysis on it.  With [bound_conflict_learning] off, the explanation
@@ -575,6 +567,19 @@ let solve_with_incumbent_hook ?(options = Options.default) ~on_incumbent problem
       lb_skips = Telemetry.Registry.counter tel.registry "search.lb_skips";
       imports = Telemetry.Registry.counter tel.registry "search.incumbent_imports";
       imported = false;
+      cut_sources =
+        lazy
+          (let problem = Core.problem engine in
+           let counted kind sources =
+             let counter = lazy (Telemetry.Registry.counter tel.registry ("cuts." ^ kind)) in
+             List.map (fun s -> s, counter) sources
+           in
+           (if options.knapsack_cuts then counted "knapsack" [ Knapsack.knapsack_source problem ]
+            else [])
+           @
+           if options.cardinality_inference then
+             counted "cardinality" (Knapsack.cardinality_sources problem)
+           else []);
       lpr_inc = None;
       cuts = None;
       lb_skip = 1;

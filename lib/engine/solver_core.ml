@@ -29,8 +29,8 @@ type bcp_mode =
    per-constraint facts plus the boxed [Constr.t] used by conflict
    analysis, certificates and the lower-bounding view. *)
 type cstate = {
-  constr : Constr.t;
-  learned : bool;
+  mutable constr : Constr.t;  (* a cut slot's degree rises in place *)
+  mutable learned : bool;  (* a superseded cut slot becomes learned *)
   in_lb : bool;
   mutable cactivity : float;
   mutable base : int;  (* arena offset of this constraint's block *)
@@ -124,6 +124,7 @@ type t = {
      current dequeue whose final slack fell below maxcoeff, acted on in
      ascending arena order after all decrements are in *)
   lit_cost : int array;  (* per literal index *)
+  mutable slots : int array;  (* per cut slot: cid of its constraint, or -1 *)
   mutable path : int;
   heap : Idheap.t;
   mutable var_inc : float;
@@ -694,24 +695,22 @@ let attach_counting t ~learned ~in_lb c =
   Telemetry.Counter.incr t.bstats.b_ncounting;
   (ci, a.(base + h_slack))
 
-(* Watched attach: watch the minimal decreasing-coefficient prefix of
-   non-lagged-false terms whose weight covers degree + maxcoeff.  When
-   no such prefix exists the constraint starts in watch-all, where
-   wslack is the exact lagged slack.  The returned slack is wslack —
-   a lower bound on the lagged slack that is only below maxcoeff when
-   it is exact, so acting on it matches counting mode. *)
-let attach_watched t ~learned ~in_lb c =
-  let ci, base = push_cstate t ~learned ~in_lb c in
+(* Grow the watch set of the block at [base], whose watch-set slack is
+   [ws], by its unwatched non-lagged-false terms in term order until it
+   covers maxcoeff; when they run out, degrade to watch-all, where
+   wslack is the exact lagged slack.  Returns the resulting wslack — a
+   lower bound on the lagged slack that is only below maxcoeff when it
+   is exact, so acting on it matches counting mode. *)
+let cover_maxcoeff t base ws =
   let a = t.arena in
-  a.(base + h_flags) <- flag_watched;
   let n = a.(base + h_n) in
   let mc = a.(base + h_max) in
-  let ws = ref (-a.(base + h_deg)) in
+  let ws = ref ws in
   let i = ref 0 in
   while !ws < mc && !i < n do
+    let cw = a.(base + hdr_size + (2 * !i) + 1) in
     let lit = Lit.of_index a.(base + hdr_size + (2 * !i)) in
-    if not (lagged_false t lit) then begin
-      let cw = a.(base + hdr_size + (2 * !i) + 1) in
+    if cw land watch_bit = 0 && not (lagged_false t lit) then begin
       a.(base + hdr_size + (2 * !i) + 1) <- cw lor watch_bit;
       push_watch t (Lit.to_index lit) base !i;
       ws := !ws + cw
@@ -719,9 +718,17 @@ let attach_watched t ~learned ~in_lb c =
     incr i
   done;
   a.(base + h_wslack) <- !ws;
-  Telemetry.Counter.incr t.bstats.b_nwatched;
   if !ws < mc then degrade_to_watch_all t base;
-  (ci, a.(base + h_wslack))
+  a.(base + h_wslack)
+
+(* Watched attach: watch the minimal decreasing-coefficient prefix of
+   non-lagged-false terms whose weight covers degree + maxcoeff, or
+   start in watch-all when no such prefix exists. *)
+let attach_watched t ~learned ~in_lb c =
+  let ci, base = push_cstate t ~learned ~in_lb c in
+  t.arena.(base + h_flags) <- flag_watched;
+  Telemetry.Counter.incr t.bstats.b_nwatched;
+  (ci, cover_maxcoeff t base (-t.arena.(base + h_deg)))
 
 (* Learned asserting clauses skip the prefix rule: watch the asserting
    literal plus a literal of the backjump level.  Every other literal is
@@ -748,19 +755,72 @@ let attach_learned_clause t c ~w1 ~w2 =
   Telemetry.Counter.incr t.bstats.b_nwatched;
   ci
 
-let add_constraint_dynamic t ?(in_lb = false) c =
-  let ci, s =
-    if wants_watched t c then attach_watched t ~learned:true ~in_lb c
-    else attach_counting t ~learned:true ~in_lb c
-  in
+(* Act on a constraint that just entered the store or got stronger,
+   given its slack as its mode keeps it: report it when violated,
+   otherwise assign what it implies. *)
+let act_on_new t ci s =
   if s < 0 then begin
     if decision_level t = 0 then t.unsat <- true;
     Some ci
   end
   else begin
-    if s < Constr.max_coeff c then
-      scan_implications_arena t (Vec.get t.constrs ci).base s;
+    let base = (Vec.get t.constrs ci).base in
+    if s < t.arena.(base + h_max) then scan_implications_arena t base s;
     None
+  end
+
+let attach_dynamic t ~learned ~in_lb c =
+  if wants_watched t c then attach_watched t ~learned ~in_lb c
+  else attach_counting t ~learned ~in_lb c
+
+let add_constraint_dynamic t ?(in_lb = false) c =
+  let ci, s = attach_dynamic t ~learned:true ~in_lb c in
+  act_on_new t ci s
+
+(* Raise the degree of stored constraint [ci] to that of [c], which has
+   the same terms: the slack its mode keeps drops by the difference, and
+   a watch set that no longer covers maxcoeff grows as at attach (a
+   watch-all set is already exact).  Returns the slack to act on. *)
+let raise_degree t ci c =
+  let cs = Vec.get t.constrs ci in
+  let delta = Constr.degree c - Constr.degree cs.constr in
+  cs.constr <- c;
+  let a = t.arena in
+  let base = cs.base in
+  a.(base + h_deg) <- Constr.degree c;
+  let flags = a.(base + h_flags) in
+  if flags land flag_watched = 0 then begin
+    a.(base + h_slack) <- a.(base + h_slack) - delta;
+    a.(base + h_slack)
+  end
+  else if flags land flag_watch_all <> 0 then begin
+    a.(base + h_wslack) <- a.(base + h_wslack) - delta;
+    a.(base + h_wslack)
+  end
+  else cover_maxcoeff t base (a.(base + h_wslack) - delta)
+
+let tighten_cut t ~slot c =
+  if slot >= Array.length t.slots then begin
+    let grown = Array.make (max (slot + 1) (2 * Array.length t.slots)) (-1) in
+    Array.blit t.slots 0 grown 0 (Array.length t.slots);
+    t.slots <- grown
+  end;
+  let old = t.slots.(slot) in
+  let in_place =
+    old >= 0
+    &&
+    let prev = (Vec.get t.constrs old).constr in
+    Constr.degree c >= Constr.degree prev
+    && (Constr.terms c == Constr.terms prev || Constr.terms c = Constr.terms prev)
+  in
+  if in_place then act_on_new t old (raise_degree t old c)
+  else begin
+    (* a new shape (saturation clipped the previous cut differently):
+       the superseded block stays sound and is left to [reduce_db] *)
+    if old >= 0 then (Vec.get t.constrs old).learned <- true;
+    let ci, s = attach_dynamic t ~learned:false ~in_lb:false c in
+    t.slots.(slot) <- ci;
+    act_on_new t ci s
   end
 
 (* --- activities ----------------------------------------------------------- *)
@@ -1202,7 +1262,9 @@ let reduce_db t =
         assert (remap.(ci) >= 0);
         t.var_reason.(v) <- Implied remap.(ci)
       end
-  done
+  done;
+  (* slots hold non-learned constraints, which are never dropped *)
+  Array.iteri (fun i ci -> if ci >= 0 then t.slots.(i) <- remap.(ci)) t.slots
 
 (* --- creation ----------------------------------------------------------------- *)
 
@@ -1234,6 +1296,7 @@ let create ?telemetry ?(bcp = Hybrid) p =
       lfalse = Bytes.make (2 * nvars) '\000';
       actors = Vec.create ~dummy:0 ();
       lit_cost = Array.make (2 * nvars) 0;
+      slots = [||];
       path = 0;
       heap = Idheap.create nvars;
       var_inc = 1.;

@@ -129,11 +129,25 @@ val learn_false_clause : t -> Lit.t list -> analysis
     non-chronological backtracking. *)
 
 val add_constraint_dynamic : t -> ?in_lb:bool -> Constr.t -> cid option
-(** Adds a constraint during search (e.g. the knapsack cut (10) when a new
-    incumbent is found).  Returns [Some cid] when the constraint is
+(** Adds a learned constraint during search (e.g. a cutting-planes
+    resolvent or a probing consequence).  Returns [Some cid] when the constraint is
     conflicting under the current assignment; implied literals are
     propagated on the next {!propagate}.  [in_lb] (default [false])
     includes it in the lower-bounding view. *)
+
+val tighten_cut : t -> slot:int -> Constr.t -> cid option
+(** [tighten_cut t ~slot c] stores [c] in cut slot [slot] (any
+    non-negative integer naming one source of cuts, e.g. the knapsack
+    cut (10)).  An empty slot attaches [c] as a permanent constraint
+    outside the lower-bounding view.  When the slot already holds a
+    constraint with [c]'s terms and a degree at most [c]'s, its degree is
+    raised in place: the store does not grow, the slot keeps its cid, and
+    since [c] dominates the old constraint every literal it implied stays
+    implied (a reason on the trail remains a valid reason).  Otherwise
+    [c] is attached afresh and the superseded constraint becomes an
+    ordinary learned constraint for {!reduce_db}.  Returns [Some cid]
+    when the slot's constraint is conflicting, and assigns its implied
+    literals otherwise, exactly like {!add_constraint_dynamic}. *)
 
 val backjump_to : t -> int -> unit
 (** Undo decisions above the given level (for restarts; analysis
@@ -193,7 +207,8 @@ val true_cost_lits : t -> Lit.t list
 val num_learned : t -> int
 val reduce_db : t -> unit
 (** Removes roughly half of the learned clauses, preferring low activity;
-    locked (reason) and asserting constraints are kept. *)
+    locked (reason) and asserting constraints are kept.  Cids change;
+    cut slots follow their constraints. *)
 
 (** {1 Statistics}
 

@@ -90,6 +90,12 @@ let of_relation raw rel rhs =
   | Le -> [ negated () ]
   | Eq -> [ make_ge raw rhs; negated () ]
 
+let with_degree c degree =
+  let max_coeff = if Array.length c.terms = 0 then 0 else c.terms.(0).coeff in
+  let sum = Array.fold_left (fun acc t -> acc + t.coeff) 0 c.terms in
+  if degree < max 1 max_coeff || degree > sum then invalid_arg "Constr.with_degree";
+  { c with degree }
+
 let clause lits = make_ge (List.map (fun l -> 1, l) lits) 1
 let cardinality lits k = make_ge (List.map (fun l -> 1, l) lits) k
 let terms c = c.terms

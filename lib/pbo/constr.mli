@@ -42,6 +42,13 @@ val make_ge : (int * Lit.t) list -> int -> norm
 val of_relation : (int * Lit.t) list -> relation -> int -> norm list
 (** Like {!make_ge} but for any relation; [Eq] yields two results. *)
 
+val with_degree : t -> int -> t
+(** [with_degree c d] is [c] with its degree replaced by [d], sharing
+    [c]'s term array.  [d] must lie between [max 1 (max_coeff c)] and
+    [coeff_sum c], so saturation clips no coefficient and the result is
+    what {!make_ge} returns for the same terms at right-hand side [d];
+    raises [Invalid_argument] otherwise. *)
+
 val clause : Lit.t list -> norm
 (** [clause lits] is the propositional clause "at least one of [lits]". *)
 

@@ -12,7 +12,7 @@ type t =
   | Lower_bound
   | Simplex
   | Subgradient
-  | Cut_generation
+  | Incumbent_cuts
   | Certify
   | Report
   | Other
@@ -29,7 +29,7 @@ let index = function
   | Lower_bound -> 6
   | Simplex -> 7
   | Subgradient -> 8
-  | Cut_generation -> 9
+  | Incumbent_cuts -> 9  (* formerly "cut_generation": same id, so old profiles decode *)
   | Certify -> 10
   | Report -> 11
   | Other -> 12
@@ -44,7 +44,7 @@ let name = function
   | Lower_bound -> "lower_bound"
   | Simplex -> "simplex"
   | Subgradient -> "subgradient"
-  | Cut_generation -> "cut_generation"
+  | Incumbent_cuts -> "incumbent_cuts"
   | Certify -> "certify"
   | Report -> "report"
   | Other -> "other"
@@ -61,7 +61,7 @@ let of_index = function
   | 6 -> Some Lower_bound
   | 7 -> Some Simplex
   | 8 -> Some Subgradient
-  | 9 -> Some Cut_generation
+  | 9 -> Some Incumbent_cuts
   | 10 -> Some Certify
   | 11 -> Some Report
   | 12 -> Some Other
@@ -72,7 +72,7 @@ let of_index = function
    second: span-tracing them would swamp any trace file, so they are
    visible to the sampling profiler (phase cells) but not to Span. *)
 let coarse = function
-  | Parse | Preprocess | Reduce_db | Lower_bound | Simplex | Subgradient | Cut_generation
+  | Parse | Preprocess | Reduce_db | Lower_bound | Simplex | Subgradient | Incumbent_cuts
   | Certify | Report ->
     true
   | Propagate | Decide | Analyze | Other -> false
@@ -88,7 +88,7 @@ let all =
     Lower_bound;
     Simplex;
     Subgradient;
-    Cut_generation;
+    Incumbent_cuts;
     Certify;
     Report;
     Other;

@@ -13,7 +13,7 @@ type t =
   | Lower_bound
   | Simplex
   | Subgradient
-  | Cut_generation
+  | Incumbent_cuts
   | Certify
   | Report
   | Other

@@ -65,10 +65,42 @@ let upper_cut_at_zero () =
   | Constr.Trivial_false -> ()
   | Constr.Trivial_true | Constr.Constr _ -> Alcotest.fail "upper 0 admits nothing"
 
+(* A source's cut is its degree raised on one shared shape once
+   saturation stops clipping, and a fresh normalization before that; both
+   must equal the checker's independent recomputation at every bound,
+   across the clipped range and the trivial ends. *)
+let source_cuts_match_normalization () =
+  let same n k =
+    match n, k with
+    | Constr.Constr a, Constr.Constr b -> Constr.equal a b
+    | Constr.Trivial_true, Constr.Trivial_true | Constr.Trivial_false, Constr.Trivial_false -> true
+    | (Constr.Constr _ | Constr.Trivial_true | Constr.Trivial_false), _ -> false
+  in
+  for seed = 0 to 40 do
+    let problem = if seed mod 2 = 0 then Gen.problem seed else Gen.covering seed in
+    let hi = Problem.max_cost_sum problem in
+    for upper = -1 to hi + 2 do
+      (match Proof.objective_cut problem ~upper with
+      | Some n when same n (Bsolo.Knapsack.upper_cut problem ~upper) -> ()
+      | Some _ | None -> Alcotest.failf "seed %d: knapsack cut differs at upper %d" seed upper);
+      List.iter
+        (fun source ->
+          match Bsolo.Knapsack.origin source with
+          | None -> Alcotest.failf "seed %d: cardinality source without origin" seed
+          | Some cid -> (
+            match Proof.cardinality_cut problem ~cid ~upper with
+            | Some n when same n (Bsolo.Knapsack.cut source ~upper) -> ()
+            | Some _ | None ->
+              Alcotest.failf "seed %d: cardinality cut of %d differs at upper %d" seed cid upper))
+        (Bsolo.Knapsack.cardinality_sources problem)
+    done
+  done
+
 let suite =
   [
     Alcotest.test_case "upper cut semantics" `Quick upper_cut_semantics;
     Alcotest.test_case "cardinality inference sound" `Quick cardinality_inference_sound;
     Alcotest.test_case "inference requires costs in group" `Quick inference_requires_cardinality_with_cost;
     Alcotest.test_case "upper cut at zero" `Quick upper_cut_at_zero;
+    Alcotest.test_case "source cuts match normalization" `Quick source_cuts_match_normalization;
   ]
