@@ -250,11 +250,17 @@ let mine_implications ?(max_probes = 64) ?(max_implications = 256) engine =
     Core.drain_changed_vars engine (fun _ -> ()));
   !acc
 
+(* Mined implications relate two distinct variables, so the clause
+   [~l \/ m] has two unit terms and its violation is exactly the
+   expression tested here; the clause is built only for a violated
+   implication. *)
 let implied_cut xval (l, m) =
-  match Constr.clause [ Lit.negate l; m ] with
-  | Constr.Constr c when violation xval c > min_violation ->
-    Some (c, Rup [ Lit.negate l; m ])
-  | Constr.Constr _ | Constr.Trivial_true | Constr.Trivial_false -> None
+  if 1. -. (lit_value xval (Lit.negate l) +. lit_value xval m) <= min_violation then None
+  else
+    match Constr.clause [ Lit.negate l; m ] with
+    | Constr.Constr c when violation xval c > min_violation ->
+      Some (c, Rup [ Lit.negate l; m ])
+    | Constr.Constr _ | Constr.Trivial_true | Constr.Trivial_false -> None
 
 (* --- the pool ---------------------------------------------------------- *)
 
