@@ -13,8 +13,10 @@
 # tail must still parse, and a stitched --portfolio recording.  The
 # three --bcp propagation modes must produce identical optima and a
 # hybrid recording must replay cleanly under all three.  The MILP
-# baseline must prove the knap-s1 optimum, and the removed --trace FILE
-# must fail as a usage error without writing a file.
+# baseline must prove the knap-s1 optimum, default bsolo on knap-s1 must
+# start only its first LP solve from the all-slack basis
+# (lpr.cold_falls = 1), and the removed --trace FILE must fail as a
+# usage error without writing a file.
 # Exits non-zero on the first failure.
 #
 # With --proof, each smoke instance is additionally solved under
@@ -392,6 +394,23 @@ grep -q '^s OPTIMUM FOUND$' "$tmpdir/milp.out" || {
   echo "FAIL: --engine milp optimum is not 300"; grep '^o ' "$tmpdir/milp.out"; exit 1;
 }
 echo "milp: $(grep '^c OPTIMAL' "$tmpdir/milp.out")"
+
+echo "== one LP solve from the all-slack basis per search (lpr.cold_falls) =="
+# The dual simplex keeps its basis across bound edits and cut-row
+# additions and evictions, so only the first LPR evaluation of default
+# bsolo on knap-s1 starts from the all-slack basis.
+timeout 120 "$bsolo" benchmarks/knap-s1.opb --timeout 60 --json "$tmpdir/lpr.json" \
+  >"$tmpdir/lpr.out" 2>&1 || {
+  echo "FAIL: default knap-s1 solve failed"; cat "$tmpdir/lpr.out"; exit 1;
+}
+[ "$(grep '^o ' "$tmpdir/lpr.out" | tail -1)" = "o 300" ] || {
+  echo "FAIL: default knap-s1 optimum is not 300"; grep '^o ' "$tmpdir/lpr.out"; exit 1;
+}
+cold=$(grep -o '"lpr\.cold_falls":[0-9]*' "$tmpdir/lpr.json" | cut -d: -f2)
+[ "$cold" = "1" ] || {
+  echo "FAIL: lpr.cold_falls = ${cold:-absent}, expected 1"; exit 1;
+}
+echo "lpr: cold_falls = 1, $(grep -o '"lpr\.warm_hits":[0-9]*' "$tmpdir/lpr.json")"
 
 echo "== removed --trace FILE is a usage error =="
 # Prefix matching must not route a stale --trace to --trace-spans.

@@ -3,7 +3,7 @@ open Pbo
 (** In-tree cut separation for the LPR lower bound.
 
     Three cut families are separated against the fractional optimum of
-    the residual LP and spliced into the live tableau as extra rows
+    the residual LP and spliced into the live LP as extra rows
     ({!Simplex.Incremental.add_row}), managed by an activity-aged
     {!Pool}:
 

@@ -8,9 +8,8 @@ let add reg name n =
 
 let flush_simplex reg (s : Simplex.stats) =
   add reg "simplex.calls" s.calls;
+  add reg "simplex.rebuilds" s.rebuilds;
   add reg "simplex.iterations" s.iterations;
-  add reg "simplex.phase1_iters" s.phase1_iters;
-  add reg "simplex.phase2_iters" s.phase2_iters;
   add reg "simplex.pivots" s.pivots;
   add reg "simplex.refreshes" s.refreshes
 

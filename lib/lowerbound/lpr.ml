@@ -27,7 +27,6 @@ type inc = {
   sx : Simplex.Incremental.t option;
   cuts : Cuts.config option;
   c_warm_hits : Telemetry.Counter.t;
-  c_warm_iters : Telemetry.Counter.t;
   c_cold_falls : Telemetry.Counter.t;
   c_cache_hits : Telemetry.Counter.t;
   mutable last : last;
@@ -57,7 +56,6 @@ let make ?cuts engine =
     sx;
     cuts;
     c_warm_hits = Telemetry.Registry.counter reg "lpr.warm_hits";
-    c_warm_iters = Telemetry.Registry.counter reg "lpr.warm_iters";
     c_cold_falls = Telemetry.Registry.counter reg "lpr.cold_falls";
     c_cache_hits = Telemetry.Registry.counter reg "lpr.cache_hits";
     last = Last_none;
@@ -212,11 +210,16 @@ let compute_inc inc ~cap =
     end
     else begin
       let sstats = Simplex.stats () in
+      let cold = ref false in
       let solve () =
-        Telemetry.Ctx.with_phase tel Telemetry.Phase.Simplex (fun () ->
-            Simplex.Incremental.reoptimize
-              ~should_stop:(fun () -> Core.interrupt_requested inc.engine)
-              ~stats:sstats sx)
+        let out =
+          Telemetry.Ctx.with_phase tel Telemetry.Phase.Simplex (fun () ->
+              Simplex.Incremental.reoptimize
+                ~should_stop:(fun () -> Core.interrupt_requested inc.engine)
+                ~stats:sstats sx)
+        in
+        if not (Simplex.Incremental.last_info sx).warm then cold := true;
+        out
       in
       let separation_allowed =
         match inc.cuts with
@@ -229,12 +232,7 @@ let compute_inc inc ~cap =
       in
       let finalize () =
         Instr.flush_simplex tel.registry sstats;
-        let info = Simplex.Incremental.last_info sx in
-        if info.warm then begin
-          Telemetry.Counter.incr inc.c_warm_hits;
-          Telemetry.Counter.add inc.c_warm_iters info.iters
-        end
-        else Telemetry.Counter.incr inc.c_cold_falls
+        Telemetry.Counter.incr (if !cold then inc.c_cold_falls else inc.c_warm_hits)
       in
       (* Separation loop: solve, separate violated cuts against the
          fractional optimum, splice them in as extra rows, re-solve warm
@@ -247,17 +245,18 @@ let compute_inc inc ~cap =
           when separation_allowed
                && (match inc.cuts with Some cfg -> rounds < cfg.rounds | None -> false) -> (
           let cfg = Option.get inc.cuts in
-          let fresh =
-            Cuts.Pool.separate cfg.pool inc.engine ~xval:(fun v -> sol.Simplex.x.(v))
+          let added =
+            Telemetry.Ctx.with_phase tel Telemetry.Phase.Separate (fun () ->
+                let fresh =
+                  Cuts.Pool.separate cfg.pool inc.engine ~xval:(fun v -> sol.Simplex.x.(v))
+                in
+                List.iter
+                  (fun (e : Cuts.Pool.entry) ->
+                    e.row <- Simplex.Incremental.add_row sx (Cuts.lp_row e.cut.constr))
+                  fresh;
+                fresh <> [])
           in
-          match fresh with
-          | [] -> finish (Simplex.Optimal sol)
-          | entries ->
-            List.iter
-              (fun (e : Cuts.Pool.entry) ->
-                e.row <- Simplex.Incremental.add_row sx (Cuts.lp_row e.cut.constr))
-              entries;
-            go (rounds + 1) (solve ()))
+          if added then go (rounds + 1) (solve ()) else finish (Simplex.Optimal sol))
         | outcome -> finish outcome
       and finish outcome =
         finalize ();
@@ -303,9 +302,6 @@ let compute_inc inc ~cap =
               cert = lazy Proof.Cert_path;
             }
           else Bound.none
-        | Simplex.Unbounded ->
-          inc.last <- Last_none;
-          Bound.none
       in
       go 0 (solve ())
     end

@@ -18,9 +18,12 @@
     still valid (no effective edits; fixes landing exactly on the
     previous LP optimum; pure tightenings of an infeasible system).
 
-    Telemetry: [lpr.calls] / [lpr.warm_hits] / [lpr.warm_iters] /
-    [lpr.cold_falls] / [lpr.cache_hits] counters; the solver records
-    each call as one [Lb_eval] flight-recorder frame. *)
+    Telemetry: [lpr.calls] / [lpr.warm_hits] / [lpr.cold_falls] /
+    [lpr.cache_hits] counters (one of warm/cold per evaluation that
+    re-solved; [simplex.iterations] counts every simplex step); cut
+    separation and the splicing of its rows run in the [separate] phase;
+    the solver records each call as one [Lb_eval] flight-recorder
+    frame. *)
 
 type inc
 
@@ -38,7 +41,7 @@ val make : ?cuts:Cuts.config -> Engine.Solver_core.t -> inc
     [cuts.rounds] times ([Root] mode separates at decision level 0
     only).  After the final optimal solve the pool ages its rows
     against the duals and stale zero-dual cut rows are dropped from the
-    live tableau.  Cut rows carry their own proof references and false
+    live LP.  Cut rows carry their own proof references and false
     literals into bound-conflict certificates and explanations. *)
 
 val compute_inc : inc -> cap:int -> Bound.t

@@ -136,9 +136,8 @@ let flush_simplex reg (s : Simplex.stats) =
     if n <> 0 then Telemetry.Counter.add (Telemetry.Registry.counter reg name) n
   in
   add "simplex.calls" s.calls;
+  add "simplex.rebuilds" s.rebuilds;
   add "simplex.iterations" s.iterations;
-  add "simplex.phase1_iters" s.phase1_iters;
-  add "simplex.phase2_iters" s.phase2_iters;
   add "simplex.pivots" s.pivots;
   add "simplex.refreshes" s.refreshes
 
@@ -280,7 +279,7 @@ let solve ?(options = Bsolo.Options.default) problem =
               Heap.push heap (child (sol.x.(v) >= 0.5));
               Heap.push heap (child (sol.x.(v) < 0.5))
           end
-        | Simplex.Unbounded | Simplex.Iteration_limit _ ->
+        | Simplex.Iteration_limit _ ->
           record_lp ~value:0 ~pruned:false;
           (* cannot prune: branch blindly on the first unfixed variable *)
           (match first_unfixed pushed relax.nvars with

@@ -27,517 +27,68 @@ type solution = {
 type outcome =
   | Optimal of solution
   | Infeasible of (int * float) list
-  | Unbounded
   | Iteration_limit of float option
 
 type stats = {
   mutable calls : int;
+  mutable rebuilds : int;
   mutable iterations : int;
-  mutable phase1_iters : int;
-  mutable phase2_iters : int;
   mutable pivots : int;
   mutable refreshes : int;
 }
 
-let stats () =
-  { calls = 0; iterations = 0; phase1_iters = 0; phase2_iters = 0; pivots = 0; refreshes = 0 }
-
-(* Internal state: every row is an equality over [ntotal] columns
-   (structural, then one slack per row, then one artificial per row).
-   [tab] is the current tableau B^-1 A; [xval] holds the value of every
-   column, nonbasic ones resting at a bound.  [rhs] keeps the original
-   right-hand sides so dual objective values and warm restarts can be
-   computed without the problem record. *)
-type state = {
-  m : int;
-  n : int;  (* structural columns *)
-  ntotal : int;
-  tab : float array array;
-  lb : float array;
-  ub : float array;
-  xval : float array;
-  basis : int array;  (* column basic in each row *)
-  in_basis : bool array;
-  sigma : float array;  (* artificial sign per row *)
-  rc : float array;  (* reduced costs, kept in sync by pivots *)
-  rhs : float array;
-  mutable pivots_since_refresh : int;
-  mutable npivots : int;
-  mutable nrefresh : int;
-  eps : float;
-}
-
-type step =
-  | Moved  (* a pivot or bound flip happened *)
-  | Opt
-  | Unbd
-
-let art_col st i = st.n + st.m + i
-
-(* Recompute the reduced-cost row from scratch: rc_j = c_j - cB B^-1 A_j.
-   Done once per phase and periodically to flush numerical drift; pivots
-   keep it in sync incrementally. *)
-let refresh_reduced_costs st cost =
-  for j = 0 to st.ntotal - 1 do
-    st.rc.(j) <- cost.(j)
-  done;
-  for i = 0 to st.m - 1 do
-    let cb = cost.(st.basis.(i)) in
-    if cb <> 0. then begin
-      let row = st.tab.(i) in
-      for j = 0 to st.ntotal - 1 do
-        st.rc.(j) <- st.rc.(j) -. (cb *. row.(j))
-      done
-    end
-  done;
-  st.pivots_since_refresh <- 0;
-  st.nrefresh <- st.nrefresh + 1
-
-(* Entering column: nonbasic at lower bound with negative reduced cost, or
-   at upper bound with positive reduced cost.  Dantzig rule by default,
-   Bland's rule (first eligible index) when [bland]. *)
-let choose_entering st ~bland =
-  let best = ref (-1) in
-  let best_score = ref st.eps in
-  let consider j =
-    if (not st.in_basis.(j)) && st.lb.(j) < st.ub.(j) then begin
-      let r = st.rc.(j) in
-      let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
-      let score =
-        if at_lower && r < -.st.eps then -.r
-        else if (not at_lower) && r > st.eps then r
-        else 0.
-      in
-      if score > !best_score then begin
-        best := j;
-        best_score := score;
-        if bland then raise Exit
-      end
-    end
-  in
-  (try
-     for j = 0 to st.ntotal - 1 do
-       consider j
-     done
-   with Exit -> ());
-  !best
-
-(* Pivot column [j] into the basis on row [r]: eliminate it from every
-   other row and from the reduced-cost row, swap basis bookkeeping. *)
-let pivot_tableau st r j =
-  let piv = st.tab.(r).(j) in
-  let row_r = st.tab.(r) in
-  for c = 0 to st.ntotal - 1 do
-    row_r.(c) <- row_r.(c) /. piv
-  done;
-  for i = 0 to st.m - 1 do
-    if i <> r then begin
-      let f = st.tab.(i).(j) in
-      if f <> 0. then begin
-        let row_i = st.tab.(i) in
-        for c = 0 to st.ntotal - 1 do
-          row_i.(c) <- row_i.(c) -. (f *. row_r.(c))
-        done
-      end
-    end
-  done;
-  let rcj = st.rc.(j) in
-  if rcj <> 0. then
-    for c = 0 to st.ntotal - 1 do
-      st.rc.(c) <- st.rc.(c) -. (rcj *. row_r.(c))
-    done;
-  let leaving = st.basis.(r) in
-  st.basis.(r) <- j;
-  st.in_basis.(j) <- true;
-  st.in_basis.(leaving) <- false;
-  st.pivots_since_refresh <- st.pivots_since_refresh + 1;
-  st.npivots <- st.npivots + 1
-
-(* One primal simplex step for the given cost vector. *)
-let step st cost ~bland =
-  if st.pivots_since_refresh > 100 then refresh_reduced_costs st cost;
-  let j = choose_entering st ~bland in
-  if j < 0 then Opt
-  else begin
-    let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
-    let dir = if at_lower then 1. else -1. in
-    (* entering moves by [dir * delta], basic i by [-dir * tab[i][j] * delta] *)
-    let delta = ref (st.ub.(j) -. st.lb.(j)) in
-    let blocking = ref (-1) in
-    let blocking_to_upper = ref false in
-    for i = 0 to st.m - 1 do
-      let rate = -.dir *. st.tab.(i).(j) in
-      let k = st.basis.(i) in
-      if rate > st.eps && st.ub.(k) < infinity then begin
-        let room = (st.ub.(k) -. st.xval.(k)) /. rate in
-        if room < !delta -. st.eps || (room < !delta +. st.eps && !blocking < 0) then begin
-          delta := max room 0.;
-          blocking := i;
-          blocking_to_upper := true
-        end
-      end
-      else if rate < -.st.eps && st.lb.(k) > neg_infinity then begin
-        let room = (st.xval.(k) -. st.lb.(k)) /. -.rate in
-        if room < !delta -. st.eps || (room < !delta +. st.eps && !blocking < 0) then begin
-          delta := max room 0.;
-          blocking := i;
-          blocking_to_upper := false
-        end
-      end
-    done;
-    if !delta = infinity then Unbd
-    else begin
-      let d = !delta in
-      (* apply the move *)
-      for i = 0 to st.m - 1 do
-        let k = st.basis.(i) in
-        st.xval.(k) <- st.xval.(k) -. (dir *. st.tab.(i).(j) *. d)
-      done;
-      st.xval.(j) <- st.xval.(j) +. (dir *. d);
-      (match !blocking with
-      | -1 ->
-        (* bound flip: entering traverses to its opposite bound *)
-        st.xval.(j) <- (if at_lower then st.ub.(j) else st.lb.(j))
-      | r ->
-        let leaving = st.basis.(r) in
-        st.xval.(leaving) <- (if !blocking_to_upper then st.ub.(leaving) else st.lb.(leaving));
-        pivot_tableau st r j);
-      Moved
-    end
-  end
+let stats () = { calls = 0; rebuilds = 0; iterations = 0; pivots = 0; refreshes = 0 }
 
 (* Cooperative stop: [should_stop] is consulted every 64 iterations and
    exits through the [Iteration_limit] path, so callers inherit the same
    truncated-bound soundness treatment as a genuine iteration cap. *)
 let stop_poll_mask = 63
 
-let optimize st cost ~max_iters ~iters ~should_stop =
-  refresh_reduced_costs st cost;
-  let bland_after = max 100 (max_iters / 2) in
-  let rec go () =
-    if !iters >= max_iters || (!iters land stop_poll_mask = stop_poll_mask && should_stop ())
-    then Iteration_limit None
-    else begin
-      incr iters;
-      match step st cost ~bland:(!iters > bland_after) with
-      | Moved -> go ()
-      | Opt -> Optimal { value = 0.; x = [||]; row_activity = [||]; duals = [||] }
-      | Unbd -> Unbounded
-    end
-  in
-  go ()
-
-let objective_value st cost =
-  let z = ref 0. in
-  for j = 0 to st.ntotal - 1 do
-    if cost.(j) <> 0. then z := !z +. (cost.(j) *. st.xval.(j))
-  done;
-  !z
-
-(* Row dual values for a cost vector: pi_i = (sum_k cB_k tab[k][art_i]) / sigma_i,
-   since the artificial column of row i is sigma_i * e_i in the original
-   matrix and the tableau holds B^-1 applied to it. *)
-let duals_for st cost =
-  Array.init st.m (fun i ->
-      let s = ref 0. in
-      for k = 0 to st.m - 1 do
-        let cb = cost.(st.basis.(k)) in
-        if cb <> 0. then s := !s +. (cb *. st.tab.(k).(art_col st i))
-      done;
-      !s /. st.sigma.(i))
-
-(* Lagrangian bound from the current simplex multipliers.  In equality
-   form, z(y) = y.b + sum_j min over [lb_j, ub_j] of rc_j x_j is a valid
-   lower bound on the optimum for ANY y; with y = cB B^-1 the reduced
-   costs rc = c - y A drop out of the basis (exactly 0. after a refresh,
-   since basic tableau columns are exact unit vectors).  The min term is
-   evaluated with NO tolerance: dropping a wrong-sign term could only
-   overstate the bound.  A nonzero rc against an infinite bound — however
-   tiny — makes the term -infinity, so the bound degenerates to None;
-   tiny rc against a finite bound contributes its exact (downward-safe)
-   correction instead of being skipped. *)
-let safe_dual_bound st cost =
-  refresh_reduced_costs st cost;
-  let y = duals_for st cost in
-  let z = ref 0. in
-  for i = 0 to st.m - 1 do
-    z := !z +. (y.(i) *. st.rhs.(i))
-  done;
-  let ok = ref true in
-  (try
-     for j = 0 to st.ntotal - 1 do
-       let r = st.rc.(j) in
-       if r > 0. then begin
-         if st.lb.(j) = neg_infinity then begin
-           ok := false;
-           raise Exit
-         end;
-         z := !z +. (r *. st.lb.(j))
-       end
-       else if r < 0. then begin
-         if st.ub.(j) = infinity then begin
-           ok := false;
-           raise Exit
-         end;
-         z := !z +. (r *. st.ub.(j))
-       end
-     done
-   with Exit -> ());
-  if !ok && Float.is_finite !z then Some !z else None
-
-(* Build a fresh state for [p]: artificial basis, rows normalized so the
-   basic artificial column is +1. *)
-let init_state ~eps (p : problem) =
-  let m = Array.length p.rows in
-  let n = p.ncols in
-  let ntotal = n + (2 * m) in
-  let lb = Array.make ntotal 0. in
-  let ub = Array.make ntotal infinity in
-  Array.blit p.lower 0 lb 0 n;
-  Array.blit p.upper 0 ub 0 n;
-  for j = 0 to n - 1 do
-    if lb.(j) = neg_infinity && ub.(j) = infinity then
-      invalid_arg "Simplex: free structural variables are not supported"
-  done;
-  let tab = Array.make_matrix m ntotal 0. in
-  let xval = Array.make ntotal 0. in
-  (* nonbasic structural variables start at a finite bound *)
-  for j = 0 to n - 1 do
-    xval.(j) <- (if lb.(j) > neg_infinity then lb.(j) else ub.(j))
-  done;
-  let sigma = Array.make m 1. in
-  let basis = Array.init m (fun i -> n + m + i) in
-  let in_basis = Array.make ntotal false in
-  let rhs = Array.map (fun (r : row) -> r.rhs) p.rows in
-  Array.iteri
-    (fun i r ->
-      Array.iter (fun (j, a) -> tab.(i).(j) <- tab.(i).(j) +. a) r.coeffs;
-      match r.rel with
-      | Ge -> tab.(i).(n + i) <- -1.
-      | Le -> tab.(i).(n + i) <- 1.
-      | Eq -> ub.(n + i) <- 0.)
-    p.rows;
-  let st =
-    {
-      m;
-      n;
-      ntotal;
-      tab;
-      lb;
-      ub;
-      xval;
-      basis;
-      in_basis;
-      sigma;
-      rc = Array.make ntotal 0.;
-      rhs;
-      pivots_since_refresh = 0;
-      npivots = 0;
-      nrefresh = 0;
-      eps;
-    }
-  in
-  (* artificial columns and initial basic values *)
-  for i = 0 to m - 1 do
-    let residual = ref p.rows.(i).rhs in
-    Array.iter (fun (j, a) -> residual := !residual -. (a *. xval.(j))) p.rows.(i).coeffs;
-    (* slack starts at 0, so it does not contribute *)
-    sigma.(i) <- (if !residual >= 0. then 1. else -1.);
-    tab.(i).(art_col st i) <- sigma.(i);
-    basis.(i) <- art_col st i;
-    in_basis.(art_col st i) <- true;
-    xval.(art_col st i) <- abs_float !residual;
-    (* normalize the row so the basic artificial column is +1 *)
-    if sigma.(i) < 0. then begin
-      let row = tab.(i) in
-      for c = 0 to ntotal - 1 do
-        row.(c) <- -.row.(c)
-      done
-    end
-  done;
-  st
-
-let phase2_cost_of st (p : problem) =
-  let cost = Array.make st.ntotal 0. in
-  Array.blit p.objective 0 cost 0 st.n;
-  cost
-
-(* Package the current basic solution.  Structural values are clipped to
-   the CURRENT column bounds in [st] (which may be tighter than the base
-   problem's when called from the incremental solver). *)
-let extract_solution st (p : problem) cost =
-  let x = Array.sub st.xval 0 st.n in
-  for j = 0 to st.n - 1 do
-    if x.(j) < st.lb.(j) then x.(j) <- st.lb.(j);
-    if x.(j) > st.ub.(j) then x.(j) <- st.ub.(j)
-  done;
-  let activity =
-    Array.map
-      (fun r -> Array.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. r.coeffs)
-      p.rows
-  in
-  let value = ref 0. in
-  Array.iteri (fun j c -> if c <> 0. then value := !value +. (c *. x.(j))) p.objective;
-  Optimal { value = !value; x; row_activity = activity; duals = duals_for st cost }
-
-(* Two-phase primal from a fresh state.  On every phase-1 completion the
-   artificial columns are pinned to 0 so that a later warm restart never
-   re-opens them. *)
-let two_phase st (p : problem) ~max_iters ~iters ~phase1_iters ~should_stop =
-  let phase1_cost = Array.make st.ntotal 0. in
-  for i = 0 to st.m - 1 do
-    phase1_cost.(art_col st i) <- 1.
-  done;
-  let r1 = optimize st phase1_cost ~max_iters ~iters ~should_stop in
-  phase1_iters := !iters;
-  match r1 with
-  | Iteration_limit _ -> Iteration_limit None
-  | Unbounded ->
-    (* phase 1 is bounded below by 0 *)
-    Iteration_limit None
-  | Infeasible _ -> assert false
-  | Optimal _ ->
-    let z1 = objective_value st phase1_cost in
-    if z1 > 1e-6 *. float_of_int (max 1 st.m) then begin
-      let pi = duals_for st phase1_cost in
-      let certificate = ref [] in
-      for i = st.m - 1 downto 0 do
-        if abs_float pi.(i) > st.eps then certificate := (i, pi.(i)) :: !certificate
-      done;
-      for i = 0 to st.m - 1 do
-        st.ub.(art_col st i) <- 0.
-      done;
-      Infeasible !certificate
-    end
-    else begin
-      (* fix artificials at 0 and optimize the real objective *)
-      for i = 0 to st.m - 1 do
-        st.ub.(art_col st i) <- 0.;
-        st.xval.(art_col st i) <- min st.xval.(art_col st i) 0.
-      done;
-      let cost = phase2_cost_of st p in
-      match optimize st cost ~max_iters ~iters ~should_stop with
-      | Iteration_limit _ -> Iteration_limit (safe_dual_bound st cost)
-      | Unbounded -> Unbounded
-      | Infeasible _ ->
-        (* [optimize] never reports infeasibility *)
-        assert false
-      | Optimal _ -> extract_solution st p cost
-    end
-
 let default_max_iters ~m ~n = 200 + (20 * (m + n))
-
-let flush_stats stats st ~iters ~phase1_iters ~pivots0 ~refresh0 =
-  match stats with
-  | None -> ()
-  | Some s ->
-    s.calls <- s.calls + 1;
-    s.iterations <- s.iterations + iters;
-    s.phase1_iters <- s.phase1_iters + phase1_iters;
-    s.phase2_iters <- s.phase2_iters + (iters - phase1_iters);
-    s.pivots <- s.pivots + (st.npivots - pivots0);
-    s.refreshes <- s.refreshes + (st.nrefresh - refresh0)
-
 let never_stop () = false
 
-(* ------------------------------------------------------------------ *)
-(* Incremental re-solving: bounded-variable dual simplex warm-started  *)
-(* from the previous basis after column-bound edits.                   *)
-(* ------------------------------------------------------------------ *)
+(* Basis refactorization period, in eta updates. *)
+let refactor_period = 64
 
-type dual_step =
-  | DMoved
-  | DOpt
-  | DInfeasible of int  (* violated basic row with no eligible entering *)
+(* The basis inverse in product form: B^-1 = E_k ... E_1 D, where D is
+   the slack-sign diagonal of the rows present at the last
+   refactorization.  A column eta records an entering column a (already
+   transformed by the earlier factors) pivoting at position [p]; a row
+   eta records a row appended with its slack basic, whose new component
+   is (v_t - sum c_p y_p) / sigma over the positions [idx] holding
+   structural columns of that row. *)
+type eta =
+  | Col of {
+      p : int;
+      idx : int array;
+      v : float array;
+      piv : float;
+    }
+  | Row of {
+      t : int;
+      idx : int array;
+      v : float array;
+      sigma : float;
+    }
 
-(* One dual simplex step.  Leaving variable: the basic with the largest
-   bound violation.  Entering: among nonbasic columns whose move can
-   repair the violation (sign-eligible), the one minimizing the dual
-   ratio |rc_j / alpha_rj| — the first reduced cost driven to zero —
-   with larger-pivot tie-breaking for stability.  Dual feasibility of
-   the reduced costs is an invariant of this update. *)
-let dual_step st =
-  let r = ref (-1) in
-  let viol = ref st.eps in
-  let below = ref false in
-  for i = 0 to st.m - 1 do
-    let k = st.basis.(i) in
-    let v = st.xval.(k) in
-    if v < st.lb.(k) -. !viol then begin
-      r := i;
-      viol := st.lb.(k) -. v;
-      below := true
-    end
-    else if v > st.ub.(k) +. !viol then begin
-      r := i;
-      viol := v -. st.ub.(k);
-      below := false
-    end
-  done;
-  if !r < 0 then DOpt
-  else begin
-    let r = !r in
-    let below = !below in
-    let k = st.basis.(r) in
-    let row = st.tab.(r) in
-    let best = ref (-1) in
-    let best_ratio = ref infinity in
-    let best_alpha = ref 0. in
-    for j = 0 to st.ntotal - 1 do
-      if (not st.in_basis.(j)) && st.lb.(j) < st.ub.(j) then begin
-        let a = row.(j) in
-        if abs_float a > st.eps then begin
-          let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
-          let eligible =
-            if below then if at_lower then a < 0. else a > 0.
-            else if at_lower then a > 0.
-            else a < 0.
-          in
-          if eligible then begin
-            let ratio = abs_float (st.rc.(j) /. a) in
-            if
-              ratio < !best_ratio -. st.eps
-              || (ratio < !best_ratio +. st.eps && abs_float a > abs_float !best_alpha)
-            then begin
-              best := j;
-              best_ratio := ratio;
-              best_alpha := a
-            end
-          end
-        end
-      end
-    done;
-    if !best < 0 then DInfeasible r
-    else begin
-      let j = !best in
-      let a = row.(j) in
-      let target = if below then st.lb.(k) else st.ub.(k) in
-      let t = (st.xval.(k) -. target) /. a in
-      for i = 0 to st.m - 1 do
-        let b = st.basis.(i) in
-        st.xval.(b) <- st.xval.(b) -. (st.tab.(i).(j) *. t)
-      done;
-      st.xval.(j) <- st.xval.(j) +. t;
-      st.xval.(k) <- target;
-      pivot_tableau st r j;
-      DMoved
-    end
-  end
+(* Sum duplicate column indices of a row. *)
+let merge_row (r : row) =
+  let sorted = Array.copy r.coeffs in
+  Array.sort (fun (a, _) (b, _) -> compare a b) sorted;
+  let acc = ref [] in
+  Array.iter
+    (fun (j, a) ->
+      match !acc with
+      | (j', a') :: rest when j' = j -> acc := (j, a' +. a) :: rest
+      | l -> acc := (j, a) :: l)
+    sorted;
+  let l = Array.of_list (List.rev !acc) in
+  Array.map fst l, Array.map snd l
 
-let dual_optimize st cost ~max_iters ~iters ~should_stop =
-  let rec go () =
-    if !iters >= max_iters || (!iters land stop_poll_mask = stop_poll_mask && should_stop ())
-    then `Limit
-    else begin
-      if st.pivots_since_refresh > 100 then refresh_reduced_costs st cost;
-      incr iters;
-      match dual_step st with
-      | DMoved -> go ()
-      | DOpt -> `Opt
-      | DInfeasible r -> `Infeasible r
-    end
-  in
-  go ()
+let slack_sign = function Ge -> -1. | Le | Eq -> 1.
+
+let array_remove a i =
+  Array.init (Array.length a - 1) (fun k -> if k < i then a.(k) else a.(k + 1))
 
 module Incremental = struct
   type info = {
@@ -546,352 +97,630 @@ module Incremental = struct
     rebuilt : bool;
   }
 
+  (* Variables are the [n] structural columns followed by one slack per
+     row: row i reads a_i x + sgn_i s_i = rhs_i with s_i in [0, inf)
+     ([0, 0] for [Eq]), sgn_i = -1 for [Ge] and +1 otherwise.  The row
+     duals y = c_B B^-1 are those of the rows as given. *)
   type t = {
-    mutable base : problem;
-    cur_lower : float array;
-    cur_upper : float array;
+    n : int;
     eps : float;
-    mutable st : state;
-    mutable cost : float array;  (* structural objective over ntotal columns *)
-    mutable have_basis : bool;
+    base_lower : float array;
+    base_upper : float array;
+    cost : float array;
+    mutable rows : row array;
+    mutable m : int;
+    mutable ridx : int array array;  (* row-wise A, duplicates merged *)
+    mutable rval : float array array;
+    mutable rhs : float array;
+    mutable sgn : float array;
+    mutable cidx : int array array;  (* column-wise copy, rebuilt lazily *)
+    mutable cval : float array array;
+    mutable cols_ok : bool;
+    mutable lo : float array;  (* current bounds, all n + m variables *)
+    mutable hi : float array;
+    mutable x : float array;
+    mutable d : float array;  (* reduced costs *)
+    mutable basis : int array;  (* variable at each basis position *)
+    mutable pos : int array;  (* basis position of each variable, or -1 *)
+    mutable diag : float array;
+    mutable etas : eta array;
+    mutable neta : int;
+    mutable neta0 : int;  (* etas written by the last refactorization *)
+    mutable stale : bool;  (* factorization must be rebuilt before use *)
+    mutable started : bool;
     mutable info : info;
-    mutable pivots_at_rebuild : int;
+    mutable npivots : int;
+    mutable nrefresh : int;
   }
 
-  (* Periodically refactor from scratch to flush accumulated numerical
-     drift in the dense tableau. *)
-  let rebuild_period = 2000
+  let nrows t = t.m
+  let last_info t = t.info
+  let cost_of t k = if k < t.n then t.cost.(k) else 0.
 
   let create ?(eps = 1e-7) (p : problem) =
-    let base = { p with lower = Array.copy p.lower; upper = Array.copy p.upper } in
-    let st = init_state ~eps base in
+    let n = p.ncols in
+    for j = 0 to n - 1 do
+      if not (Float.is_finite p.lower.(j) && Float.is_finite p.upper.(j)) then
+        invalid_arg "Simplex: structural columns need finite bounds"
+    done;
+    let m = Array.length p.rows in
+    let merged = Array.map merge_row p.rows in
+    let sgn = Array.map (fun (r : row) -> slack_sign r.rel) p.rows in
+    let lo = Array.make (n + m) 0. in
+    let hi = Array.make (n + m) infinity in
+    Array.blit p.lower 0 lo 0 n;
+    Array.blit p.upper 0 hi 0 n;
+    Array.iteri (fun i (r : row) -> if r.rel = Eq then hi.(n + i) <- 0.) p.rows;
     {
-      base;
-      cur_lower = Array.copy base.lower;
-      cur_upper = Array.copy base.upper;
+      n;
       eps;
-      st;
-      cost = phase2_cost_of st base;
-      have_basis = false;
+      base_lower = Array.sub p.lower 0 n;
+      base_upper = Array.sub p.upper 0 n;
+      cost = Array.sub p.objective 0 n;
+      rows = p.rows;
+      m;
+      ridx = Array.map fst merged;
+      rval = Array.map snd merged;
+      rhs = Array.map (fun (r : row) -> r.rhs) p.rows;
+      sgn;
+      cidx = [||];
+      cval = [||];
+      cols_ok = false;
+      lo;
+      hi;
+      x = Array.copy lo;
+      d = Array.make (n + m) 0.;
+      basis = Array.init m (fun i -> n + i);
+      pos = Array.init (n + m) (fun k -> if k < n then -1 else k - n);
+      diag = [||];
+      etas = [||];
+      neta = 0;
+      neta0 = 0;
+      stale = true;
+      started = false;
       info = { warm = false; iters = 0; rebuilt = false };
-      pivots_at_rebuild = 0;
+      npivots = 0;
+      nrefresh = 0;
     }
 
-  let nrows t = Array.length t.base.rows
-  let last_info t = t.info
-
-  (* Rebuild the state for the edited base problem without a usable
-     basis; the next [reoptimize] solves cold. *)
-  let resync_cold t =
-    t.have_basis <- false;
-    let st = init_state ~eps:t.eps t.base in
-    t.st <- st;
-    t.cost <- phase2_cost_of st t.base;
-    t.pivots_at_rebuild <- 0
-
-  (* Splice [r] into the live tableau while preserving the current basis:
-     the new row (as an equality over a fresh slack and artificial) is
-     eliminated against every basic column — yielding the B^-1-transformed
-     row — and its slack is made basic.  Since the slack has zero cost the
-     duals of the old rows are unchanged, so dual feasibility survives;
-     the slack's (possibly out-of-bound) primal value is repaired by the
-     next dual-simplex reoptimize.  Column layout: the new slack lands at
-     index [n + m] and the new artificial last, so old columns at or above
-     [n + m] (the old artificials) shift up by one. *)
-  let add_row t (r : row) =
-    let idx = Array.length t.base.rows in
-    t.base <- { t.base with rows = Array.append t.base.rows [| r |] };
-    if not t.have_basis then resync_cold t
-    else begin
-      let st = t.st in
-      let n = st.n and m = st.m in
-      let m' = m + 1 in
-      let ntotal' = n + (2 * m') in
-      let map j = if j < n + m then j else j + 1 in
-      let slack_new = n + m in
-      let art_new = ntotal' - 1 in
-      let lb = Array.make ntotal' 0. in
-      let ub = Array.make ntotal' infinity in
-      let xval = Array.make ntotal' 0. in
-      let in_basis = Array.make ntotal' false in
-      for j = 0 to st.ntotal - 1 do
-        let j' = map j in
-        lb.(j') <- st.lb.(j);
-        ub.(j') <- st.ub.(j);
-        xval.(j') <- st.xval.(j);
-        in_basis.(j') <- st.in_basis.(j)
+  let ensure_cols t =
+    if not t.cols_ok then begin
+      let cnt = Array.make t.n 0 in
+      Array.iter (Array.iter (fun j -> cnt.(j) <- cnt.(j) + 1)) t.ridx;
+      t.cidx <- Array.map (fun c -> Array.make c 0) cnt;
+      t.cval <- Array.map (fun c -> Array.make c 0.) cnt;
+      Array.fill cnt 0 t.n 0;
+      for i = 0 to t.m - 1 do
+        Array.iteri
+          (fun k j ->
+            t.cidx.(j).(cnt.(j)) <- i;
+            t.cval.(j).(cnt.(j)) <- t.rval.(i).(k);
+            cnt.(j) <- cnt.(j) + 1)
+          t.ridx.(i)
       done;
-      (match r.rel with Ge | Le -> () | Eq -> ub.(slack_new) <- 0.);
-      ub.(art_new) <- 0.;
-      let tab = Array.make_matrix m' ntotal' 0. in
-      for i = 0 to m - 1 do
-        let src = st.tab.(i) and dst = tab.(i) in
-        for j = 0 to st.ntotal - 1 do
-          dst.(map j) <- src.(j)
-        done
-      done;
-      let basis = Array.init m' (fun i -> if i < m then map st.basis.(i) else slack_new) in
-      let sigma = Array.make m' 1. in
-      Array.blit st.sigma 0 sigma 0 m;
-      let rhs = Array.make m' 0. in
-      Array.blit st.rhs 0 rhs 0 m;
-      rhs.(m) <- r.rhs;
-      let d = tab.(m) in
-      Array.iter (fun (j, a) -> d.(j) <- d.(j) +. a) r.coeffs;
-      let c_s = match r.rel with Ge -> -1. | Le | Eq -> 1. in
-      d.(slack_new) <- c_s;
-      d.(art_new) <- c_s;
-      sigma.(m) <- c_s;
-      (* Basic columns are unit vectors across the tableau, so the
-         elimination order is immaterial. *)
-      for i = 0 to m - 1 do
-        let f = d.(basis.(i)) in
-        if f <> 0. then begin
-          let row_i = tab.(i) in
-          for c = 0 to ntotal' - 1 do
-            d.(c) <- d.(c) -. (f *. row_i.(c))
+      t.cols_ok <- true
+    end
+
+  let push_eta t e =
+    if t.neta = Array.length t.etas then begin
+      let etas = Array.make (max 16 (2 * t.neta)) e in
+      Array.blit t.etas 0 etas 0 t.neta;
+      t.etas <- etas
+    end;
+    t.etas.(t.neta) <- e;
+    t.neta <- t.neta + 1
+
+  (* y <- B^-1 y (row space in, basis positions out). *)
+  let ftran t y =
+    Array.iteri (fun i s -> y.(i) <- y.(i) *. s) t.diag;
+    for e = 0 to t.neta - 1 do
+      match t.etas.(e) with
+      | Col { p; idx; v; piv } ->
+        if y.(p) <> 0. then begin
+          let yp = y.(p) /. piv in
+          y.(p) <- yp;
+          for k = 0 to Array.length idx - 1 do
+            y.(idx.(k)) <- y.(idx.(k)) -. (v.(k) *. yp)
           done
         end
-      done;
-      (* normalize so the basic slack column carries +1 *)
-      if c_s < 0. then
-        for c = 0 to ntotal' - 1 do
-          d.(c) <- -.d.(c)
+      | Row { t = r; idx; v; sigma } ->
+        let s = ref y.(r) in
+        for k = 0 to Array.length idx - 1 do
+          s := !s -. (v.(k) *. y.(idx.(k)))
         done;
-      in_basis.(slack_new) <- true;
-      let st' =
-        {
-          m = m';
-          n;
-          ntotal = ntotal';
-          tab;
-          lb;
-          ub;
-          xval;
-          basis;
-          in_basis;
-          sigma;
-          rc = Array.make ntotal' 0.;
-          rhs;
-          pivots_since_refresh = st.pivots_since_refresh;
-          npivots = st.npivots;
-          nrefresh = st.nrefresh;
-          eps = st.eps;
-        }
-      in
-      t.st <- st';
-      t.cost <- phase2_cost_of st' t.base
-    end;
-    idx
+        y.(r) <- !s /. sigma
+    done
 
-  (* Delete row [i] while keeping the basis warm when possible.  The row's
-     own slack is pivoted into the row if it is not already basic there;
-     with the slack basic in its own row, the basis matrix is block
-     triangular in that row/column pair, so deleting the row together with
-     its slack and artificial columns leaves a valid basis (and unchanged
-     reduced costs) for the remaining system.  Falls back to a cold
-     rebuild when the pivot entry is numerically unusable or the slack or
-     artificial is basic in a different row.  Rows above [i] shift down by
-     one. *)
-  let drop_row t i =
-    let nr = Array.length t.base.rows in
-    if i < 0 || i >= nr then invalid_arg "Simplex.Incremental.drop_row";
-    let rows' =
-      Array.init (nr - 1) (fun k -> if k < i then t.base.rows.(k) else t.base.rows.(k + 1))
+  (* z <- z B^-1 (basis positions in, row space out). *)
+  let btran t z =
+    for e = t.neta - 1 downto 0 do
+      match t.etas.(e) with
+      | Col { p; idx; v; piv } ->
+        let s = ref z.(p) in
+        for k = 0 to Array.length idx - 1 do
+          s := !s -. (v.(k) *. z.(idx.(k)))
+        done;
+        z.(p) <- !s /. piv
+      | Row { t = r; idx; v; sigma } ->
+        let zr = z.(r) /. sigma in
+        z.(r) <- zr;
+        if zr <> 0. then
+          for k = 0 to Array.length idx - 1 do
+            z.(idx.(k)) <- z.(idx.(k)) -. (v.(k) *. zr)
+          done
+    done;
+    Array.iteri (fun i s -> z.(i) <- z.(i) *. s) t.diag
+
+  (* Dense column of variable [k] in row space. *)
+  let load_column t k y =
+    Array.fill y 0 t.m 0.;
+    if k < t.n then Array.iteri (fun c i -> y.(i) <- t.cval.(k).(c)) t.cidx.(k)
+    else y.(k - t.n) <- t.sgn.(k - t.n)
+
+  let col_eta y p =
+    let idx = ref [] and v = ref [] in
+    for i = Array.length y - 1 downto 0 do
+      if i <> p && abs_float y.(i) > 1e-13 then begin
+        idx := i :: !idx;
+        v := y.(i) :: !v
+      end
+    done;
+    Col { p; idx = Array.of_list !idx; v = Array.of_list !v; piv = y.(p) }
+
+  (* Product-form reinversion of the current basic set: slacks keep
+     their own row's position, structural columns (sparsest first) take
+     the free position with the largest transformed entry.  A column
+     without a usable pivot leaves the basis and the free position's
+     slack enters instead. *)
+  let refactor t =
+    ensure_cols t;
+    t.diag <- Array.copy t.sgn;
+    t.neta <- 0;
+    let free = Array.init t.m (fun i -> t.pos.(t.n + i) < 0) in
+    let structs = List.filter (fun j -> t.pos.(j) >= 0) (List.init t.n Fun.id) in
+    let structs =
+      List.stable_sort
+        (fun a b -> compare (Array.length t.cidx.(a)) (Array.length t.cidx.(b)))
+        structs
     in
-    t.base <- { t.base with rows = rows' };
-    if not t.have_basis then resync_cold t
+    let basis = Array.init t.m (fun i -> t.n + i) in
+    let y = Array.make t.m 0. in
+    List.iter
+      (fun q ->
+        load_column t q y;
+        ftran t y;
+        let p = ref (-1) in
+        Array.iteri
+          (fun i f -> if f && (!p < 0 || abs_float y.(i) > abs_float y.(!p)) then p := i)
+          free;
+        if !p >= 0 && abs_float y.(!p) > 1e-9 then begin
+          push_eta t (col_eta y !p);
+          free.(!p) <- false;
+          basis.(!p) <- q
+        end)
+      structs;
+    Array.fill t.pos 0 (t.n + t.m) (-1);
+    Array.iteri (fun p k -> t.pos.(k) <- p) basis;
+    t.basis <- basis;
+    t.neta0 <- t.neta;
+    t.stale <- false
+
+  (* y = c_B B^-1, the row duals of the current basis. *)
+  let duals t =
+    let y = Array.init t.m (fun p -> cost_of t t.basis.(p)) in
+    btran t y;
+    y
+
+  (* d = c - y A over all variables, from the stored rows. *)
+  let reduced_costs t y =
+    Array.blit t.cost 0 t.d 0 t.n;
+    for i = 0 to t.m - 1 do
+      let yi = y.(i) in
+      if yi <> 0. then begin
+        let idx = t.ridx.(i) and v = t.rval.(i) in
+        for k = 0 to Array.length idx - 1 do
+          t.d.(idx.(k)) <- t.d.(idx.(k)) -. (yi *. v.(k))
+        done
+      end;
+      t.d.(t.n + i) <- -.yi *. t.sgn.(i)
+    done;
+    t.nrefresh <- t.nrefresh + 1
+
+  (* Largest value slack [k] can take with every structural column in
+     its box; resting point for a slack whose reduced cost asks for its
+     (infinite) upper bound. *)
+  let implied_upper t k =
+    let i = k - t.n and s = -.t.sgn.(k - t.n) in
+    let u = ref (t.sgn.(i) *. t.rhs.(i)) in
+    Array.iteri
+      (fun c j ->
+        let a = s *. t.rval.(i).(c) in
+        u := !u +. Float.max (a *. t.lo.(j)) (a *. t.hi.(j)))
+      t.ridx.(i);
+    Float.max !u 0.
+
+  (* Basic values x_B = B^-1 (b - N x_N). *)
+  let basic_values t =
+    let r = Array.copy t.rhs in
+    for i = 0 to t.m - 1 do
+      let idx = t.ridx.(i) and v = t.rval.(i) in
+      for k = 0 to Array.length idx - 1 do
+        let j = idx.(k) in
+        if t.pos.(j) < 0 then r.(i) <- r.(i) -. (v.(k) *. t.x.(j))
+      done;
+      if t.pos.(t.n + i) < 0 then r.(i) <- r.(i) -. (t.sgn.(i) *. t.x.(t.n + i))
+    done;
+    ftran t r;
+    Array.iteri (fun p k -> t.x.(k) <- r.(p)) t.basis
+
+  (* Dual-feasible resting point for the current basis and bounds:
+     reduced costs from A, every nonbasic variable on the bound its
+     reduced cost prefers, basic values recomputed.  Every variable is
+     boxed (slacks by their implied upper bound), so this always
+     succeeds. *)
+  let resting t k =
+    let l = t.lo.(k) and h = t.hi.(k) and r = t.d.(k) in
+    if l = h || r > t.eps then l
+    else if r < -.t.eps then if h < infinity then h else implied_upper t k
+    else if h < infinity && abs_float (t.x.(k) -. h) <= t.eps then h
+    else l
+
+  let restore t =
+    reduced_costs t (duals t);
+    for k = 0 to t.n + t.m - 1 do
+      if t.pos.(k) >= 0 then t.d.(k) <- 0. else t.x.(k) <- resting t k
+    done;
+    basic_values t
+
+  (* After fresh reduced costs: does a nonbasic variable rest on the
+     wrong bound?  (A pivot on a tiny entry can push the reduced costs of
+     columns it skipped past zero.) *)
+  let dual_drift t =
+    reduced_costs t (duals t);
+    let drift = ref false in
+    for k = 0 to t.n + t.m - 1 do
+      if t.pos.(k) < 0 && abs_float t.d.(k) > t.eps
+         && abs_float (t.x.(k) -. resting t k) > t.eps
+      then drift := true
+    done;
+    !drift
+
+  let refresh t =
+    refactor t;
+    restore t
+
+  (* max_i |a_i x + sgn_i s_i - rhs_i| / (1 + |rhs_i|) *)
+  let residual t =
+    let worst = ref 0. in
+    for i = 0 to t.m - 1 do
+      let s = ref (t.sgn.(i) *. t.x.(t.n + i)) in
+      Array.iteri (fun c j -> s := !s +. (t.rval.(i).(c) *. t.x.(j))) t.ridx.(i);
+      worst := Float.max !worst (abs_float (!s -. t.rhs.(i)) /. (1. +. abs_float t.rhs.(i)))
+    done;
+    !worst
+
+  (* Does rho prove infeasibility over the variable boxes?  rho (A x +
+     S s) = rho b must be unreachable. *)
+  let proves_infeasible t rho =
+    let lo = ref 0. and hi = ref 0. and rb = ref 0. in
+    let add a k =
+      if a > 0. then begin
+        lo := !lo +. (a *. t.lo.(k));
+        hi := !hi +. (a *. t.hi.(k))
+      end
+      else if a < 0. then begin
+        lo := !lo +. (a *. t.hi.(k));
+        hi := !hi +. (a *. t.lo.(k))
+      end
+    in
+    let arow = Array.make t.n 0. in
+    Array.iteri
+      (fun i ri ->
+        if ri <> 0. then begin
+          rb := !rb +. (ri *. t.rhs.(i));
+          Array.iteri (fun c j -> arow.(j) <- arow.(j) +. (ri *. t.rval.(i).(c))) t.ridx.(i);
+          add (ri *. t.sgn.(i)) (t.n + i)
+        end)
+      rho;
+    Array.iteri (fun j a -> add a j) arow;
+    !rb < !lo || !rb > !hi
+
+  (* Row multipliers as certificates (duals, or a Farkas ray oriented
+     like them): a [Ge] row needs a nonnegative multiplier, a [Le] row a
+     nonpositive one.  A wrong sign beyond rounding can only come from a
+     slack resting at its implied upper bound, which puts its row at
+     maximal activity over the column box.  Zeroing such a multiplier
+     keeps the certificate valid, because that bound is a sum of
+     column-bound facts: min (d + y_i a_i) x >= min d x + y_i max a_i x. *)
+  let certificate t v =
+    Array.iteri
+      (fun i vi -> if vi *. t.sgn.(i) > 0. && t.hi.(t.n + i) = infinity then v.(i) <- 0.)
+      v;
+    v
+
+  (* Lagrangian bound of the current duals: z(y) = y b + sum_k min over
+     [lo_k, hi_k] of d_k x_k, valid for ANY y.  The min term is
+     evaluated with NO tolerance, so even a basic variable's rounding
+     residue in d contributes its exact (downward-safe) term; a slack's
+     infinite upper bound is replaced by its implied one, which every
+     feasible point satisfies. *)
+  let safe_dual_bound t =
+    let y = duals t in
+    reduced_costs t y;
+    let z = ref 0. in
+    Array.iteri (fun i yi -> z := !z +. (yi *. t.rhs.(i))) y;
+    for k = 0 to t.n + t.m - 1 do
+      let r = t.d.(k) in
+      if r > 0. then z := !z +. (r *. t.lo.(k))
+      else if r < 0. then
+        z := !z +. (r *. if t.hi.(k) < infinity then t.hi.(k) else implied_upper t k)
+    done;
+    if Float.is_finite !z then Some !z else None
+
+  type step =
+    | Moved
+    | Opt
+    | Refactor  (* pivot element disagrees with its column: drift *)
+    | No_entering of float array  (* violated row of B^-1 with no entering *)
+
+  (* One dual simplex step.  Leaving: the basic variable with the
+     largest bound violation.  Entering: among nonbasic columns whose
+     move can repair it, the smallest dual ratio |d_j / alpha_rj|, ties
+     to the larger |alpha_rj|.  The pivot row comes from a BTRAN and the
+     rows of A, the entering column from an FTRAN. *)
+  let step t arow col =
+    let n = t.n and m = t.m in
+    let r = ref (-1) and viol = ref t.eps and below = ref false in
+    for p = 0 to m - 1 do
+      let k = t.basis.(p) in
+      let v = t.x.(k) in
+      if v < t.lo.(k) -. !viol then begin
+        r := p;
+        viol := t.lo.(k) -. v;
+        below := true
+      end
+      else if v > t.hi.(k) +. !viol then begin
+        r := p;
+        viol := v -. t.hi.(k);
+        below := false
+      end
+    done;
+    if !r < 0 then Opt
     else begin
-      let st = t.st in
-      let n = st.n and m = st.m in
-      let slack_i = n + i and art_i = n + m + i in
-      let ok =
-        if st.basis.(i) = slack_i then true
-        else if (not st.in_basis.(slack_i)) && abs_float st.tab.(i).(slack_i) > st.eps then begin
-          (* primal pivot; any dual-feasibility damage is repaired by the
-             reduced-cost refresh + nonbasic resting of the next warm
-             start *)
-          pivot_tableau st i slack_i;
-          true
+      let r = !r and below = !below in
+      let rho = Array.make m 0. in
+      rho.(r) <- 1.;
+      btran t rho;
+      Array.fill arow 0 (n + m) 0.;
+      for i = 0 to m - 1 do
+        let ri = rho.(i) in
+        if ri <> 0. then begin
+          let idx = t.ridx.(i) and v = t.rval.(i) in
+          for c = 0 to Array.length idx - 1 do
+            arow.(idx.(c)) <- arow.(idx.(c)) +. (ri *. v.(c))
+          done;
+          arow.(n + i) <- ri *. t.sgn.(i)
         end
-        else false
-      in
-      if (not ok) || st.in_basis.(art_i) then resync_cold t
+      done;
+      let best = ref (-1) and best_ratio = ref infinity and best_alpha = ref 0. in
+      for j = 0 to n + m - 1 do
+        let a = arow.(j) in
+        if t.pos.(j) < 0 && abs_float a > t.eps && t.lo.(j) < t.hi.(j) then begin
+          let at_lower = t.x.(j) <= t.lo.(j) +. t.eps in
+          if (below = at_lower) = (a < 0.) then begin
+            let ratio = abs_float (t.d.(j) /. a) in
+            if
+              ratio < !best_ratio -. t.eps
+              || (ratio < !best_ratio +. t.eps && abs_float a > abs_float !best_alpha)
+            then begin
+              best := j;
+              best_ratio := ratio;
+              best_alpha := a
+            end
+          end
+        end
+      done;
+      if !best < 0 then begin
+        (* orient the ray like the duals: a basic variable below its
+           bound asks for -rho *)
+        if below then Array.iteri (fun i v -> rho.(i) <- -.v) rho;
+        No_entering rho
+      end
       else begin
-        let m' = m - 1 in
-        let ntotal' = n + (2 * m') in
-        let map j = if j < slack_i then j else if j < art_i then j - 1 else j - 2 in
-        let lb = Array.make ntotal' 0. in
-        let ub = Array.make ntotal' infinity in
-        let xval = Array.make ntotal' 0. in
-        let in_basis = Array.make ntotal' false in
-        for j = 0 to st.ntotal - 1 do
-          if j <> slack_i && j <> art_i then begin
-            let j' = map j in
-            lb.(j') <- st.lb.(j);
-            ub.(j') <- st.ub.(j);
-            xval.(j') <- st.xval.(j);
-            in_basis.(j') <- st.in_basis.(j)
-          end
-        done;
-        let tab = Array.make_matrix m' ntotal' 0. in
-        let basis = Array.make (max m' 1) 0 in
-        let sigma = Array.make (max m' 1) 1. in
-        let rhs = Array.make (max m' 1) 0. in
-        for k = 0 to m - 1 do
-          if k <> i then begin
-            let k' = if k < i then k else k - 1 in
-            let src = st.tab.(k) and dst = tab.(k') in
-            for j = 0 to st.ntotal - 1 do
-              if j <> slack_i && j <> art_i then dst.(map j) <- src.(j)
-            done;
-            basis.(k') <- map st.basis.(k);
-            sigma.(k') <- st.sigma.(k);
-            rhs.(k') <- st.rhs.(k)
-          end
-        done;
-        let st' =
-          {
-            m = m';
-            n;
-            ntotal = ntotal';
-            tab;
-            lb;
-            ub;
-            xval;
-            basis = (if m' = 0 then [||] else basis);
-            in_basis;
-            sigma = (if m' = 0 then [||] else sigma);
-            rhs = (if m' = 0 then [||] else rhs);
-            rc = Array.make ntotal' 0.;
-            pivots_since_refresh = st.pivots_since_refresh;
-            npivots = st.npivots;
-            nrefresh = st.nrefresh;
-            eps = st.eps;
-          }
-        in
-        t.st <- st';
-        t.cost <- phase2_cost_of st' t.base
+        let q = !best and a = !best_alpha in
+        load_column t q col;
+        ftran t col;
+        if t.neta > t.neta0 && abs_float (col.(r) -. a) > 1e-7 *. (1. +. abs_float a) then Refactor
+        else begin
+          let k = t.basis.(r) in
+          let target = if below then t.lo.(k) else t.hi.(k) in
+          let theta = (t.x.(k) -. target) /. col.(r) in
+          for p = 0 to m - 1 do
+            let b = t.basis.(p) in
+            t.x.(b) <- t.x.(b) -. (col.(p) *. theta)
+          done;
+          t.x.(q) <- t.x.(q) +. theta;
+          t.x.(k) <- target;
+          let theta_d = t.d.(q) /. a in
+          for j = 0 to n + m - 1 do
+            if arow.(j) <> 0. && t.pos.(j) < 0 then t.d.(j) <- t.d.(j) -. (theta_d *. arow.(j))
+          done;
+          t.d.(q) <- 0.;
+          t.d.(k) <- -.theta_d;
+          push_eta t (col_eta col r);
+          t.basis.(r) <- q;
+          t.pos.(q) <- r;
+          t.pos.(k) <- -1;
+          t.npivots <- t.npivots + 1;
+          Moved
+        end
       end
     end
 
+  (* Dual simplex from the restored point.  A residual check at the
+     optimum and a certificate check at infeasibility guard against
+     drift in the eta file: on failure the basis is refactored once and
+     the iteration resumes.  An optimum whose fresh reduced costs put a
+     nonbasic variable on the wrong bound resumes from a restored
+     point. *)
+  let dual_simplex t ~max_iters ~iters ~should_stop =
+    let arow = Array.make (t.n + t.m) 0. and col = Array.make t.m 0. in
+    let checked = ref false in
+    let recheck () =
+      let again = (not !checked) && t.neta > t.neta0 in
+      if again then begin
+        checked := true;
+        refresh t
+      end;
+      again
+    in
+    let rec go () =
+      if !iters >= max_iters || (!iters land stop_poll_mask = stop_poll_mask && should_stop ())
+      then `Limit
+      else begin
+        incr iters;
+        match step t arow col with
+        | Moved ->
+          if t.neta - t.neta0 >= refactor_period then refresh t;
+          go ()
+        | Refactor ->
+          refresh t;
+          go ()
+        | Opt ->
+          if residual t > 1e-9 && recheck () then go ()
+          else if dual_drift t then begin
+            restore t;
+            go ()
+          end
+          else `Opt
+        | No_entering rho ->
+          let ray = certificate t rho in
+          if (not (proves_infeasible t ray)) && recheck () then go () else `Infeasible ray
+      end
+    in
+    go ()
+
+  let extract t =
+    let x = Array.init t.n (fun j -> Float.min t.hi.(j) (Float.max t.lo.(j) t.x.(j))) in
+    let activity =
+      Array.map
+        (fun (r : row) -> Array.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. r.coeffs)
+        t.rows
+    in
+    let value = ref 0. in
+    Array.iteri (fun j c -> if c <> 0. then value := !value +. (c *. x.(j))) t.cost;
+    Optimal { value = !value; x; row_activity = activity; duals = certificate t (duals t) }
+
+  (* Append a row with its slack basic.  The old rows' duals, hence all
+     reduced costs, are unchanged, so the basis stays dual feasible; a
+     violated new row is repaired by the next dual simplex. *)
+  let add_row t (r : row) =
+    let i = t.m and s = t.n + t.m in
+    let idx, v = merge_row r in
+    let sg = slack_sign r.rel in
+    let grow a x = Array.append a [| x |] in
+    t.rows <- grow t.rows r;
+    t.ridx <- grow t.ridx idx;
+    t.rval <- grow t.rval v;
+    t.rhs <- grow t.rhs r.rhs;
+    t.sgn <- grow t.sgn sg;
+    t.lo <- grow t.lo 0.;
+    t.hi <- grow t.hi (if r.rel = Eq then 0. else infinity);
+    t.d <- grow t.d 0.;
+    t.pos <- grow t.pos i;
+    t.basis <- grow t.basis s;
+    t.m <- t.m + 1;
+    t.cols_ok <- false;
+    let act = ref 0. in
+    Array.iteri (fun c j -> act := !act +. (v.(c) *. t.x.(j))) idx;
+    t.x <- grow t.x (sg *. (r.rhs -. !act));
+    if t.started && not t.stale then begin
+      let ps = ref [] and cs = ref [] in
+      Array.iteri
+        (fun c j ->
+          if t.pos.(j) >= 0 then begin
+            ps := t.pos.(j) :: !ps;
+            cs := v.(c) :: !cs
+          end)
+        idx;
+      push_eta t (Row { t = i; idx = Array.of_list !ps; v = Array.of_list !cs; sigma = sg })
+    end;
+    i
+
+  (* Remove row [i] once its slack is basic: with that slack basic the
+     basis, less the row and the slack, stays nonsingular.  A nonbasic
+     slack first takes over the basis position with the largest entry
+     of its transformed column; an evicted row's dual is about zero, so
+     this swap leaves the reduced costs (and dual feasibility) as they
+     were.  The factorization is rebuilt on the next solve. *)
+  let drop_row t i =
+    if i < 0 || i >= t.m then invalid_arg "Simplex.Incremental.drop_row";
+    let s = t.n + i in
+    if t.pos.(s) < 0 then begin
+      if t.stale then refactor t;
+      let y = Array.make t.m 0. in
+      load_column t s y;
+      ftran t y;
+      let r = ref 0 in
+      Array.iteri (fun p f -> if abs_float f > abs_float y.(!r) then r := p) y;
+      t.pos.(t.basis.(!r)) <- -1;
+      t.basis.(!r) <- s;
+      t.pos.(s) <- !r
+    end;
+    t.rows <- array_remove t.rows i;
+    t.ridx <- array_remove t.ridx i;
+    t.rval <- array_remove t.rval i;
+    t.rhs <- array_remove t.rhs i;
+    t.sgn <- array_remove t.sgn i;
+    t.lo <- array_remove t.lo s;
+    t.hi <- array_remove t.hi s;
+    t.x <- array_remove t.x s;
+    t.d <- array_remove t.d s;
+    t.m <- t.m - 1;
+    let basic = List.filter (fun k -> k <> s) (Array.to_list t.basis) in
+    t.basis <- Array.of_list (List.map (fun k -> if k > s then k - 1 else k) basic);
+    t.pos <- Array.make (t.n + t.m) (-1);
+    Array.iteri (fun p k -> t.pos.(k) <- p) t.basis;
+    t.cols_ok <- false;
+    t.stale <- true
+
   let fix t j v =
-    t.cur_lower.(j) <- v;
-    t.cur_upper.(j) <- v
+    t.lo.(j) <- v;
+    t.hi.(j) <- v
 
   let unfix t j =
-    t.cur_lower.(j) <- t.base.lower.(j);
-    t.cur_upper.(j) <- t.base.upper.(j)
-
-  (* Restore a dual-feasible resting point after bound edits: refresh the
-     reduced costs, put every nonbasic column on the bound its reduced
-     cost prefers, and recompute the basic values from the tableau
-     (B^-1 e_k is the k-th artificial column over sigma_k).  Returns
-     false — caller rebuilds cold — when a wrong-sign column has no
-     finite bound to rest on or numerics have degraded. *)
-  let warm_start t =
-    let st = t.st in
-    Array.blit t.cur_lower 0 st.lb 0 st.n;
-    Array.blit t.cur_upper 0 st.ub 0 st.n;
-    refresh_reduced_costs st t.cost;
-    let ok = ref true in
-    (try
-       for j = 0 to st.ntotal - 1 do
-         if not st.in_basis.(j) then begin
-           let lo = st.lb.(j) and up = st.ub.(j) in
-           if lo = up then st.xval.(j) <- lo
-           else begin
-             let r = st.rc.(j) in
-             if r > st.eps then
-               if lo = neg_infinity then begin
-                 ok := false;
-                 raise Exit
-               end
-               else st.xval.(j) <- lo
-             else if r < -.st.eps then
-               if up = infinity then begin
-                 ok := false;
-                 raise Exit
-               end
-               else st.xval.(j) <- up
-             else begin
-               (* indifferent: keep the current resting bound if any *)
-               let x = st.xval.(j) in
-               if up < infinity && abs_float (x -. up) <= st.eps then st.xval.(j) <- up
-               else if lo > neg_infinity then st.xval.(j) <- lo
-               else st.xval.(j) <- up
-             end
-           end
-         end
-       done
-     with Exit -> ());
-    if !ok then begin
-      for i = 0 to st.m - 1 do
-        let row = st.tab.(i) in
-        let s = ref 0. in
-        for k = 0 to st.m - 1 do
-          let a = row.(art_col st k) in
-          if a <> 0. then s := !s +. (a /. st.sigma.(k) *. st.rhs.(k))
-        done;
-        for j = 0 to st.ntotal - 1 do
-          if (not st.in_basis.(j)) && st.xval.(j) <> 0. then
-            s := !s -. (row.(j) *. st.xval.(j))
-        done;
-        if not (Float.is_finite !s) then ok := false;
-        st.xval.(st.basis.(i)) <- !s
-      done
-    end;
-    !ok
+    t.lo.(j) <- t.base_lower.(j);
+    t.hi.(j) <- t.base_upper.(j)
 
   let reoptimize ?max_iters ?(should_stop = never_stop) ?stats t =
     let max_iters =
-      match max_iters with
-      | Some k -> k
-      | None -> default_max_iters ~m:t.st.m ~n:t.st.n
+      match max_iters with Some k -> k | None -> default_max_iters ~m:t.m ~n:t.n
     in
-    let iters = ref 0 in
-    let phase1_iters = ref 0 in
-    let warm_usable =
-      t.have_basis && t.st.npivots - t.pivots_at_rebuild < rebuild_period
+    let warm = t.started in
+    t.started <- true;
+    let iters = ref 0 and pivots0 = t.npivots and refresh0 = t.nrefresh in
+    ensure_cols t;
+    if t.stale || t.neta - t.neta0 >= refactor_period then refactor t;
+    restore t;
+    let outcome =
+      match dual_simplex t ~max_iters ~iters ~should_stop with
+      | `Opt -> extract t
+      | `Infeasible rho ->
+        let w = ref [] in
+        for i = t.m - 1 downto 0 do
+          if abs_float rho.(i) > t.eps then w := (i, rho.(i)) :: !w
+        done;
+        Infeasible !w
+      | `Limit -> Iteration_limit (safe_dual_bound t)
     in
-    let outcome, warm, pivots0, refresh0 =
-      if warm_usable && warm_start t then begin
-        let st = t.st in
-        let pivots0 = st.npivots and refresh0 = st.nrefresh in
-        let r =
-          match dual_optimize st t.cost ~max_iters ~iters ~should_stop with
-          | `Opt -> extract_solution st t.base t.cost
-          | `Infeasible vr ->
-            (* Farkas witness: original rows entering row vr of B^-1,
-               rescaled to original row units as in [duals_for] *)
-            let witness = ref [] in
-            for i = st.m - 1 downto 0 do
-              let a = st.tab.(vr).(art_col st i) in
-              if abs_float a > st.eps then witness := (i, a /. st.sigma.(i)) :: !witness
-            done;
-            Infeasible !witness
-          | `Limit -> Iteration_limit (safe_dual_bound st t.cost)
-        in
-        (* dual pivots preserve dual feasibility, so the basis stays
-           warm-startable even after infeasible or truncated calls *)
-        r, true, pivots0, refresh0
-      end
-      else begin
-        let p =
-          { t.base with lower = Array.copy t.cur_lower; upper = Array.copy t.cur_upper }
-        in
-        let st = init_state ~eps:t.eps p in
-        t.st <- st;
-        t.pivots_at_rebuild <- 0;
-        let r = two_phase st p ~max_iters ~iters ~phase1_iters ~should_stop in
-        (match r with
-        | Optimal _ | Infeasible _ -> t.have_basis <- true
-        | Unbounded | Iteration_limit _ -> t.have_basis <- false);
-        r, false, 0, 0
-      end
-    in
-    if not warm then t.pivots_at_rebuild <- t.st.npivots;
     t.info <- { warm; iters = !iters; rebuilt = not warm };
-    flush_stats stats t.st ~iters:!iters ~phase1_iters:!phase1_iters ~pivots0 ~refresh0;
+    (match stats with
+    | None -> ()
+    | Some s ->
+      s.calls <- s.calls + 1;
+      if not warm then s.rebuilds <- s.rebuilds + 1;
+      s.iterations <- s.iterations + !iters;
+      s.pivots <- s.pivots + (t.npivots - pivots0);
+      s.refreshes <- s.refreshes + (t.nrefresh - refresh0));
     outcome
 end

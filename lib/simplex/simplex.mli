@@ -1,7 +1,6 @@
-(** Bounded-variable simplex with one entry point, {!Incremental}: a
-    persistent LP that is re-optimized warm with a dual simplex after
-    column-bound and row edits, and solved cold with a dense two-phase
-    primal simplex on its first call (or when no usable basis exists).
+(** Bounded-variable revised dual simplex with one entry point,
+    {!Incremental}: a persistent LP that is re-optimized warm after
+    column-bound and row edits.
 
     Solves
 
@@ -9,16 +8,20 @@
       subject to  row_i :  a_i x (>= | <= | =) b_i,   i = 1..m
                   lower_j <= x_j <= upper_j
 
-    Bounds may be infinite ([neg_infinity] / [infinity]).  This is the LP
-    substrate of the paper's LPR lower bound (Section 3.1) and of the MILP
-    baseline standing in for CPLEX.
+    Every structural column must have finite bounds ({!Incremental.create}
+    raises [Invalid_argument] otherwise).  This is the LP substrate of the
+    paper's LPR lower bound (Section 3.1) and of the MILP baseline standing
+    in for CPLEX.
 
-    The implementation is the textbook bounded-variable simplex on a dense
-    tableau: each row gets a slack/surplus column, phase 1 minimizes the
-    sum of artificial columns, nonbasic variables rest at one of their
-    bounds, and the ratio test allows bound flips.  The tableau and basis
-    stay alive between calls.  A one-off cold solve is
-    [Incremental.reoptimize (Incremental.create p)]. *)
+    A is stored sparse, by row and by column.  Each row carries one
+    implicit slack, a_i x - s_i = b_i for [Ge] and a_i x + s_i = b_i
+    otherwise, with s_i in [0, inf) ([0, 0] for [Eq]); there are no
+    artificial columns.  The basis inverse is kept in product form (eta
+    file) and refactored every 64 updates, after a row is dropped, or
+    when a residual check fails.  With finite column bounds the all-slack
+    basis is dual feasible, so the first solve is the same dual simplex
+    as every later one: there is no phase 1 and no primal simplex.  A
+    one-off solve is [Incremental.reoptimize (Incremental.create p)]. *)
 
 type rel =
   | Ge
@@ -52,25 +55,21 @@ type solution = {
 type outcome =
   | Optimal of solution
   | Infeasible of (int * float) list
-      (** rows with non-zero phase-1 dual (cold solve) or non-zero
-          Farkas-ray entry (dual simplex), each paired with that
-          multiplier: an infeasible subsystem witness.  Multiplier
-          signs follow the internal convention — consumers needing a
-          nonnegative Farkas combination must resolve the sign (both
-          global orientations occur across exits). *)
-  | Unbounded
+      (** rows with a non-zero entry in the violated row of B^-1 (a
+          Farkas ray of the dual simplex), each paired with that
+          multiplier: an infeasible subsystem witness.  Consumers needing
+          a nonnegative Farkas combination must resolve the global
+          sign. *)
   | Iteration_limit of float option
       (** gave up; [Some z] is a safe dual (Lagrangian) lower bound on the
-          optimum valid at the point the solver stopped, [None] when no
-          dual-feasible iterate was available *)
+          optimum valid at the point the solver stopped *)
 
 type stats = {
   mutable calls : int;  (** [Incremental.reoptimize] invocations *)
-  mutable iterations : int;  (** simplex steps, bound flips included *)
-  mutable phase1_iters : int;
-  mutable phase2_iters : int;  (** phase-2 primal and dual-simplex steps *)
+  mutable rebuilds : int;  (** calls that started from the all-slack basis *)
+  mutable iterations : int;  (** dual simplex steps, the final optimality check included *)
   mutable pivots : int;  (** basis changes only *)
-  mutable refreshes : int;  (** full reduced-cost recomputations *)
+  mutable refreshes : int;  (** recomputations of all reduced costs from A *)
 }
 
 val stats : unit -> stats
@@ -78,26 +77,27 @@ val stats : unit -> stats
     [Incremental.reoptimize] calls to accumulate across them; the library
     itself stays free of global state. *)
 
-(** Persistent LP state for sequences of re-solves that differ only in
-    column bounds — the B&B lower-bounding workload.  After [fix]/[unfix]
-    edits, {!reoptimize} restores dual feasibility on the previous basis
-    (reduced-cost refresh + nonbasic repositioning) and runs a
-    bounded-variable dual simplex; it falls back to a cold two-phase
-    primal rebuild when no usable basis exists, when the warm restart
-    cannot reach a dual-feasible resting point, or periodically to flush
-    numerical drift from the dense tableau. *)
+(** Persistent LP state for sequences of re-solves that differ in column
+    bounds and in appended or dropped rows — the B&B lower-bounding and
+    cutting-plane workload.  Each {!reoptimize} recomputes the duals and
+    reduced costs of the current basis, rests every nonbasic column on the
+    bound its reduced cost prefers and runs the dual simplex from there.
+    No edit discards the basis. *)
 module Incremental : sig
   type t
 
   type info = {
     warm : bool;  (** last call reused the previous basis *)
     iters : int;  (** simplex iterations spent by the last call *)
-    rebuilt : bool;  (** last call rebuilt the tableau from scratch *)
+    rebuilt : bool;
+        (** last call started from the all-slack basis: true only on a
+            context's first [reoptimize] *)
   }
 
   val create : ?eps:float -> problem -> t
   (** Snapshot [problem] (bounds are copied); [eps] defaults to [1e-7].
-      The first [reoptimize] is necessarily cold. *)
+      The first [reoptimize] starts from the all-slack basis.  Raises
+      [Invalid_argument] when a column bound is infinite. *)
 
   val fix : t -> int -> float -> unit
   (** [fix t j v] pins column [j] to value [v] (both bounds). *)
@@ -109,28 +109,25 @@ module Incremental : sig
   (** Current number of rows in the (edited) base problem. *)
 
   val add_row : t -> row -> int
-  (** Append a row to the base problem and splice it into the live
-      tableau, returning its row index.  The current basis is preserved
-      (the new row's slack enters the basis), so a following
-      {!reoptimize} warm-starts: dual feasibility is unaffected by the
-      zero-cost slack and any primal violation of the new row is repaired
-      by the dual simplex — exactly the cutting-plane workload.  With no
-      usable basis the edit only touches the stored problem and the next
-      solve is cold. *)
+  (** Append a row to the base problem, returning its row index.  The
+      new row's slack enters the basis (one row eta on the factored
+      inverse), so dual feasibility is unaffected by the zero-cost slack
+      and any primal violation of the new row is repaired by the next
+      dual simplex — exactly the cutting-plane workload. *)
 
   val drop_row : t -> int -> unit
   (** Remove row [i] from the base problem.  Indices of later rows shift
-      down by one.  The basis is kept warm when the row's slack can be
-      (re)made basic in the row — the common case for a slack or evicted
-      cut row — and dropped (cold rebuild on next [reoptimize])
-      otherwise. *)
+      down by one.  A nonbasic slack of row [i] first enters the basis;
+      for an evicted cut row (dual about zero) this leaves every reduced
+      cost as it was.  The basis stays warm; it is refactored on the next
+      [reoptimize]. *)
 
   val reoptimize :
     ?max_iters:int -> ?should_stop:(unit -> bool) -> ?stats:stats -> t -> outcome
   (** Re-solve under the current bounds.  [Infeasible] witnesses index
       rows of the base problem.  Calls that hit the iteration limit
-      report [Iteration_limit (Some z)] with the dual objective reached
-      when it is a valid lower bound under the current bounds.
+      report [Iteration_limit (Some z)] with the Lagrangian bound of the
+      duals reached, valid under the current bounds.
       [max_iters] defaults to [200 + 20 * (m + ncols)].  When [stats] is
       given, the call's work figures are added to it on every exit path.
 

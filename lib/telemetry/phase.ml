@@ -16,8 +16,9 @@ type t =
   | Certify
   | Report
   | Other
+  | Separate
 
-let count = 13
+let count = 14
 
 let index = function
   | Parse -> 0
@@ -33,6 +34,7 @@ let index = function
   | Certify -> 10
   | Report -> 11
   | Other -> 12
+  | Separate -> 13
 
 let name = function
   | Parse -> "parse"
@@ -48,6 +50,7 @@ let name = function
   | Certify -> "certify"
   | Report -> "report"
   | Other -> "other"
+  | Separate -> "separate"
 
 (* Inverse of [index]; out-of-range indices answer [None] so decoders of
    externally sampled stacks (Profile cells) never raise. *)
@@ -65,6 +68,7 @@ let of_index = function
   | 10 -> Some Certify
   | 11 -> Some Report
   | 12 -> Some Other
+  | 13 -> Some Separate
   | _ -> None
 
 (* Phases coarse enough to emit one tracing span per entry.  The inner
@@ -73,7 +77,7 @@ let of_index = function
    visible to the sampling profiler (phase cells) but not to Span. *)
 let coarse = function
   | Parse | Preprocess | Reduce_db | Lower_bound | Simplex | Subgradient | Incumbent_cuts
-  | Certify | Report ->
+  | Certify | Report | Separate ->
     true
   | Propagate | Decide | Analyze | Other -> false
 
@@ -92,4 +96,5 @@ let all =
     Certify;
     Report;
     Other;
+    Separate;
   ]

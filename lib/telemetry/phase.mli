@@ -17,6 +17,7 @@ type t =
   | Certify
   | Report
   | Other
+  | Separate  (** LP cut separation and the splicing of its rows *)
 
 val count : int
 (** Number of phases; [index] is a bijection onto [0 .. count - 1]. *)

@@ -4,13 +4,102 @@ let check_float msg expected got =
   if abs_float (expected -. got) > feps then
     Alcotest.failf "%s: expected %f, got %f" msg expected got
 
-(* One cold two-phase solve: a fresh context's first [reoptimize]. *)
+(* One solve from the all-slack basis: a fresh context's first
+   [reoptimize].  It runs the same dual simplex as every warm re-solve,
+   so agreement with it is no oracle on its own: {!certify} is. *)
 let cold p = Simplex.Incremental.(reoptimize (create p))
+
+(* Solver-independent check of an outcome against [p].  An optimum must
+   be primal feasible, its duals must have the right sign per row
+   relation, the reduced costs c - yA must have the right sign for the
+   bound each column sits at, and [value] must equal both c x and the
+   Lagrangian bound of the duals.  An infeasibility witness must combine
+   the rows (in one of its two global orientations) into an inequality
+   that no point of the column box satisfies. *)
+let cert_tol = 1e-6
+
+let certify (p : Simplex.problem) outcome =
+  let rows = p.rows and n = p.ncols in
+  let near a b = abs_float (a -. b) <= cert_tol *. (1. +. abs_float a +. abs_float b) in
+  let forall_rows f =
+    let ok = ref true in
+    Array.iteri (fun i r -> if not (f i r) then ok := false) rows;
+    !ok
+  in
+  let combine mu =
+    let a = Array.make n 0. in
+    let b = ref 0. in
+    Array.iteri
+      (fun i (r : Simplex.row) ->
+        b := !b +. (mu.(i) *. r.rhs);
+        Array.iter (fun (j, c) -> a.(j) <- a.(j) +. (mu.(i) *. c)) r.coeffs)
+      rows;
+    a, !b
+  in
+  match outcome with
+  | Simplex.Optimal s ->
+    let y = s.duals in
+    let in_box = ref true in
+    for j = 0 to n - 1 do
+      if s.x.(j) < p.lower.(j) -. cert_tol || s.x.(j) > p.upper.(j) +. cert_tol then
+        in_box := false
+    done;
+    let feasible =
+      forall_rows (fun _ (r : Simplex.row) ->
+          let act = Array.fold_left (fun acc (j, a) -> acc +. (a *. s.x.(j))) 0. r.coeffs in
+          let tol = cert_tol *. (1. +. abs_float r.rhs) in
+          match r.rel with
+          | Simplex.Ge -> act >= r.rhs -. tol
+          | Simplex.Le -> act <= r.rhs +. tol
+          | Simplex.Eq -> abs_float (act -. r.rhs) <= tol)
+    in
+    let dual_signs =
+      forall_rows (fun i (r : Simplex.row) ->
+          match r.rel with
+          | Simplex.Ge -> y.(i) >= -.cert_tol
+          | Simplex.Le -> y.(i) <= cert_tol
+          | Simplex.Eq -> true)
+    in
+    let ya, yb = combine y in
+    let d = Array.init n (fun j -> p.objective.(j) -. ya.(j)) in
+    let rc_signs = ref true and lagrangian = ref yb and cx = ref 0. in
+    for j = 0 to n - 1 do
+      let l = p.lower.(j) and u = p.upper.(j) in
+      if l < u then begin
+        let at_l = s.x.(j) <= l +. cert_tol and at_u = s.x.(j) >= u -. cert_tol in
+        if (at_l && d.(j) < -.cert_tol) || (at_u && d.(j) > cert_tol)
+           || ((not at_l) && (not at_u) && abs_float d.(j) > cert_tol)
+        then rc_signs := false
+      end;
+      lagrangian := !lagrangian +. Float.min (d.(j) *. l) (d.(j) *. u);
+      cx := !cx +. (p.objective.(j) *. s.x.(j))
+    done;
+    !in_box && feasible && dual_signs && !rc_signs && near s.value !cx
+    && near s.value !lagrangian
+  | Simplex.Infeasible w ->
+    let proves orient =
+      let mu = Array.make (Array.length rows) 0. in
+      List.iter (fun (i, m) -> mu.(i) <- orient *. m) w;
+      let signs =
+        forall_rows (fun i (r : Simplex.row) ->
+            match r.rel with
+            | Simplex.Ge -> mu.(i) >= 0.
+            | Simplex.Le -> mu.(i) <= 0.
+            | Simplex.Eq -> true)
+      in
+      let a, b = combine mu in
+      let best = ref 0. in
+      for j = 0 to n - 1 do
+        best := !best +. Float.max (a.(j) *. p.lower.(j)) (a.(j) *. p.upper.(j))
+      done;
+      signs && !best < b -. (cert_tol *. (1. +. abs_float b))
+    in
+    w <> [] && (proves 1. || proves (-1.))
+  | Simplex.Iteration_limit _ -> false
 
 let expect_optimal = function
   | Simplex.Optimal s -> s
   | Simplex.Infeasible _ -> Alcotest.fail "unexpected infeasible"
-  | Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
   | Simplex.Iteration_limit _ -> Alcotest.fail "unexpected iteration limit"
 
 let lp ?(lower = fun _ -> 0.) ?(upper = fun _ -> 1.) ncols objective rows =
@@ -80,7 +169,7 @@ let infeasible_detected () =
          [ [ (0, 1.) ], Simplex.Ge, 1.; [ (0, 1.) ], Simplex.Le, 0.25 ])
   with
   | Simplex.Infeasible witness -> Alcotest.(check bool) "witness nonempty" true (witness <> [])
-  | Simplex.Optimal _ | Simplex.Unbounded | Simplex.Iteration_limit _ ->
+  | Simplex.Optimal _ | Simplex.Iteration_limit _ ->
     Alcotest.fail "expected infeasible"
 
 let row_activity_reported () =
@@ -149,12 +238,15 @@ let qcheck_lp_bounds_ip =
           | Some _ | None -> ip_best := Some cost
         end
       done;
-      match cold problem, !ip_best with
+      let out = cold problem in
+      certify problem out
+      &&
+      match out, !ip_best with
       | Simplex.Optimal sol, Some ip -> sol.value <= float_of_int ip +. feps
       | Simplex.Optimal _, None -> true  (* LP feasible, IP not: fine *)
       | Simplex.Infeasible _, None -> true
       | Simplex.Infeasible _, Some _ -> false  (* LP infeasible but IP feasible: bug *)
-      | (Simplex.Unbounded | Simplex.Iteration_limit _), _ -> false)
+      | Simplex.Iteration_limit _, _ -> false)
 
 (* qcheck: the reported primal solution is feasible and matches the
    reported objective value. *)
@@ -188,7 +280,10 @@ let qcheck_solution_consistent =
           (fun (terms, rhs) -> List.fold_left (fun acc (_, a) -> acc + a) 0 terms >= rhs)
           raw_rows
       in
-      match cold problem with
+      let out = cold problem in
+      certify problem out
+      &&
+      match out with
       | Simplex.Optimal sol ->
         let bounds_ok = Array.for_all (fun v -> v >= -.feps && v <= 1. +. feps) sol.x in
         let rows_ok =
@@ -210,7 +305,7 @@ let qcheck_solution_consistent =
       | Simplex.Infeasible _ ->
         (* positive Ge rows are feasible iff satisfiable at x = 1 *)
         not feasible_at_ones
-      | Simplex.Unbounded | Simplex.Iteration_limit _ -> false)
+      | Simplex.Iteration_limit _ -> false)
 
 (* --- incremental warm re-solving ------------------------------------------ *)
 
@@ -273,8 +368,11 @@ let qcheck_warm_equals_cold =
       let lower = Array.make nvars 0. in
       let upper = Array.make nvars 1. in
       let agree () =
-        let fresh = cold { problem with lower = Array.copy lower; upper = Array.copy upper } in
-        match Simplex.Incremental.reoptimize sx, fresh with
+        let now = { problem with lower = Array.copy lower; upper = Array.copy upper } in
+        let warm = Simplex.Incremental.reoptimize sx and fresh = cold now in
+        certify now warm && certify now fresh
+        &&
+        match warm, fresh with
         | Simplex.Optimal a, Simplex.Optimal b -> abs_float (a.value -. b.value) <= feps
         | Simplex.Infeasible w, Simplex.Infeasible _ -> w <> []
         | _, _ -> false
@@ -360,8 +458,11 @@ let qcheck_cut_rows_warm_equals_cold =
       let sx = Simplex.Incremental.create problem in
       let live = ref (List.map mk base_rows) in
       let agree () =
-        let fresh = cold { problem with rows = Array.of_list !live } in
-        match Simplex.Incremental.reoptimize sx, fresh with
+        let now = { problem with rows = Array.of_list !live } in
+        let warm = Simplex.Incremental.reoptimize sx and fresh = cold now in
+        certify now warm && certify now fresh
+        &&
+        match warm, fresh with
         | Simplex.Optimal a, Simplex.Optimal b -> abs_float (a.value -. b.value) <= feps
         | Simplex.Infeasible w, Simplex.Infeasible _ -> w <> []
         | _, _ -> false
@@ -386,6 +487,85 @@ let qcheck_cut_rows_warm_equals_cold =
         (List.rev added);
       !ok && Simplex.Incremental.nrows sx = List.length base_rows)
 
+(* qcheck: sparse LPs of 20-60 rows over 10-30 columns (2-6 terms a
+   row, mixed relations, feasible at a hidden 0-1 point) under a script
+   of fix/unfix/add_row/drop_row edits long enough to pass several
+   refactorizations.  After every edit the warm outcome must carry a
+   valid certificate and agree with a fresh solve of the edited LP. *)
+let qcheck_sparse_scripts =
+  QCheck2.Test.make ~name:"sparse LPs: certified warm re-solves under edit scripts" ~count:60
+    ~print:string_of_int (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+      let rng = Random.State.make [| seed; 0x5ca1e |] in
+      let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+      let n = int 10 30 in
+      let hidden = Array.init n (fun _ -> float_of_int (int 0 1)) in
+      let random_row () =
+        let coeffs =
+          Array.init (int 2 6) (fun _ ->
+              let a = int (-3) 5 in
+              int 0 (n - 1), float_of_int (if a = 0 then 1 else a))
+        in
+        let at = Array.fold_left (fun acc (j, a) -> acc +. (a *. hidden.(j))) 0. coeffs in
+        match int 0 9 with
+        | 0 -> { Simplex.coeffs; rel = Simplex.Eq; rhs = at }
+        | 1 | 2 -> { Simplex.coeffs; rel = Simplex.Le; rhs = at +. float_of_int (int 0 2) }
+        | _ -> { Simplex.coeffs; rel = Simplex.Ge; rhs = at -. float_of_int (int 0 2) }
+      in
+      let problem =
+        {
+          Simplex.ncols = n;
+          lower = Array.make n 0.;
+          upper = Array.make n 1.;
+          objective = Array.init n (fun _ -> float_of_int (int (-3) 6));
+          rows = Array.init (int 20 60) (fun _ -> random_row ());
+        }
+      in
+      let sx = Simplex.Incremental.create problem in
+      let lower = Array.make n 0. and upper = Array.make n 1. in
+      let live = ref (Array.to_list problem.rows) in
+      let stats = Simplex.stats () in
+      let agree () =
+        let now =
+          { problem with lower = Array.copy lower; upper = Array.copy upper; rows = Array.of_list !live }
+        in
+        let warm = Simplex.Incremental.reoptimize ~stats sx in
+        certify now warm
+        &&
+        match warm, cold now with
+        | Simplex.Optimal a, Simplex.Optimal b ->
+          abs_float (a.value -. b.value) <= 1e-6 *. (1. +. abs_float b.value)
+        | Simplex.Infeasible _, Simplex.Infeasible _ -> true
+        | _, _ -> false
+      in
+      let ok = ref (agree ()) in
+      let step = ref 0 in
+      while !ok && !step < 150 do
+        incr step;
+        let v = int 0 (n - 1) in
+        (match int 0 9 with
+        | 0 | 1 | 2 ->
+          let b = float_of_int (int 0 1) in
+          Simplex.Incremental.fix sx v b;
+          lower.(v) <- b;
+          upper.(v) <- b
+        | 3 | 4 | 5 ->
+          Simplex.Incremental.unfix sx v;
+          lower.(v) <- 0.;
+          upper.(v) <- 1.
+        | 6 | 7 ->
+          let r = random_row () in
+          ignore (Simplex.Incremental.add_row sx r);
+          live := !live @ [ r ]
+        | _ ->
+          if !live <> [] then begin
+            let i = int 0 (List.length !live - 1) in
+            Simplex.Incremental.drop_row sx i;
+            live := List.filteri (fun k _ -> k <> i) !live
+          end);
+        ok := agree () && Simplex.Incremental.nrows sx = List.length !live
+      done;
+      !ok && not (Simplex.Incremental.last_info sx).rebuilt)
+
 let suite =
   [
     Alcotest.test_case "simple cover" `Quick simple_cover;
@@ -403,4 +583,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_solution_consistent;
     QCheck_alcotest.to_alcotest qcheck_warm_equals_cold;
     QCheck_alcotest.to_alcotest qcheck_cut_rows_warm_equals_cold;
+    QCheck_alcotest.to_alcotest qcheck_sparse_scripts;
   ]

@@ -1,8 +1,7 @@
 open Pbo
 module Core = Engine.Solver_core
 
-(* One cold two-phase solve: a fresh context's first [reoptimize]. *)
-let cold p = Simplex.Incremental.(reoptimize (create p))
+let cold = Test_simplex.cold
 
 (* reduce_db invoked at arbitrary interior states must preserve slacks,
    reasons and eventual exactness. *)
@@ -140,8 +139,9 @@ let heap_random_ops () =
     done
   done
 
-(* Mixed-relation LPs: feasibility must match 0-1 enumeration relaxed to
-   reals only in the safe direction (integer-feasible => LP feasible). *)
+(* Mixed-relation LPs: every outcome must pass its certificate check,
+   and feasibility must match 0-1 enumeration relaxed to reals only in
+   the safe direction (integer-feasible => LP feasible). *)
 let simplex_mixed_relations () =
   for seed = 0 to 60 do
     let rng = Random.State.make [| seed; 0x51e |] in
@@ -181,11 +181,13 @@ let simplex_mixed_relations () =
       in
       if List.for_all ok rows then int_feasible := true
     done;
-    match cold problem with
+    let out = cold problem in
+    if not (Test_simplex.certify problem out) then
+      Alcotest.failf "seed %d: outcome fails its certificate check" seed;
+    match out with
     | Simplex.Optimal _ -> ()
     | Simplex.Infeasible _ ->
       if !int_feasible then Alcotest.failf "seed %d: LP infeasible but IP feasible" seed
-    | Simplex.Unbounded -> Alcotest.failf "seed %d: bounded LP reported unbounded" seed
     | Simplex.Iteration_limit _ -> ()
   done
 
