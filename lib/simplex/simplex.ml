@@ -127,6 +127,7 @@ module Incremental = struct
     mutable neta : int;
     mutable neta0 : int;  (* etas written by the last refactorization *)
     mutable stale : bool;  (* factorization must be rebuilt before use *)
+    mutable drift : bool;  (* a nonbasic reduced cost has the wrong sign *)
     mutable started : bool;
     mutable info : info;
     mutable npivots : int;
@@ -177,6 +178,7 @@ module Incremental = struct
       neta = 0;
       neta0 = 0;
       stale = true;
+      drift = false;
       started = false;
       info = { warm = false; iters = 0; rebuilt = false };
       npivots = 0;
@@ -353,11 +355,7 @@ module Incremental = struct
     ftran t r;
     Array.iteri (fun p k -> t.x.(k) <- r.(p)) t.basis
 
-  (* Dual-feasible resting point for the current basis and bounds:
-     reduced costs from A, every nonbasic variable on the bound its
-     reduced cost prefers, basic values recomputed.  Every variable is
-     boxed (slacks by their implied upper bound), so this always
-     succeeds. *)
+  (* The bound nonbasic variable [k] rests on under its reduced cost. *)
   let resting t k =
     let l = t.lo.(k) and h = t.hi.(k) and r = t.d.(k) in
     if l = h || r > t.eps then l
@@ -365,25 +363,22 @@ module Incremental = struct
     else if h < infinity && abs_float (t.x.(k) -. h) <= t.eps then h
     else l
 
-  let restore t =
-    reduced_costs t (duals t);
+  let reposition t =
     for k = 0 to t.n + t.m - 1 do
-      if t.pos.(k) >= 0 then t.d.(k) <- 0. else t.x.(k) <- resting t k
+      if t.pos.(k) < 0 then t.x.(k) <- resting t k
     done;
+    t.drift <- false;
     basic_values t
 
-  (* After fresh reduced costs: does a nonbasic variable rest on the
-     wrong bound?  (A pivot on a tiny entry can push the reduced costs of
-     columns it skipped past zero.) *)
-  let dual_drift t =
+  (* Dual-feasible resting point for the current basis and bounds:
+     reduced costs from A, every nonbasic variable on the bound its
+     reduced cost prefers, basic values recomputed.  Every variable is
+     boxed (slacks by their implied upper bound), so this always
+     succeeds. *)
+  let restore t =
     reduced_costs t (duals t);
-    let drift = ref false in
-    for k = 0 to t.n + t.m - 1 do
-      if t.pos.(k) < 0 && abs_float t.d.(k) > t.eps
-         && abs_float (t.x.(k) -. resting t k) > t.eps
-      then drift := true
-    done;
-    !drift
+    Array.iter (fun k -> t.d.(k) <- 0.) t.basis;
+    reposition t
 
   let refresh t =
     refactor t;
@@ -457,7 +452,7 @@ module Incremental = struct
     done;
     if Float.is_finite !z then Some !z else None
 
-  type step =
+  type move =
     | Moved
     | Opt
     | Refactor  (* pivot element disagrees with its column: drift *)
@@ -468,7 +463,7 @@ module Incremental = struct
      move can repair it, the smallest dual ratio |d_j / alpha_rj|, ties
      to the larger |alpha_rj|.  The pivot row comes from a BTRAN and the
      rows of A, the entering column from an FTRAN. *)
-  let step t arow col =
+  let dual_step t arow col =
     let n = t.n and m = t.m in
     let r = ref (-1) and viol = ref t.eps and below = ref false in
     for p = 0 to m - 1 do
@@ -543,7 +538,14 @@ module Incremental = struct
           t.x.(k) <- target;
           let theta_d = t.d.(q) /. a in
           for j = 0 to n + m - 1 do
-            if arow.(j) <> 0. && t.pos.(j) < 0 then t.d.(j) <- t.d.(j) -. (theta_d *. arow.(j))
+            if arow.(j) <> 0. && t.pos.(j) < 0 then begin
+              let dj = t.d.(j) -. (theta_d *. arow.(j)) in
+              t.d.(j) <- dj;
+              (* a skipped tiny entry can push a reduced cost past zero *)
+              if abs_float dj > t.eps && t.lo.(j) < t.hi.(j) && j <> q
+                 && dj > 0. <> (t.x.(j) <= t.lo.(j) +. t.eps)
+              then t.drift <- true
+            end
           done;
           t.d.(q) <- 0.;
           t.d.(k) <- -.theta_d;
@@ -560,9 +562,8 @@ module Incremental = struct
   (* Dual simplex from the restored point.  A residual check at the
      optimum and a certificate check at infeasibility guard against
      drift in the eta file: on failure the basis is refactored once and
-     the iteration resumes.  An optimum whose fresh reduced costs put a
-     nonbasic variable on the wrong bound resumes from a restored
-     point. *)
+     the iteration resumes.  An optimum reached after a reduced cost
+     crossed zero resumes from a restored point. *)
   let dual_simplex t ~max_iters ~iters ~should_stop =
     let arow = Array.make (t.n + t.m) 0. and col = Array.make t.m 0. in
     let checked = ref false in
@@ -579,7 +580,7 @@ module Incremental = struct
       then `Limit
       else begin
         incr iters;
-        match step t arow col with
+        match dual_step t arow col with
         | Moved ->
           if t.neta - t.neta0 >= refactor_period then refresh t;
           go ()
@@ -588,7 +589,7 @@ module Incremental = struct
           go ()
         | Opt ->
           if residual t > 1e-9 && recheck () then go ()
-          else if dual_drift t then begin
+          else if t.drift then begin
             restore t;
             go ()
           end
@@ -700,8 +701,9 @@ module Incremental = struct
     t.started <- true;
     let iters = ref 0 and pivots0 = t.npivots and refresh0 = t.nrefresh in
     ensure_cols t;
-    if t.stale || t.neta - t.neta0 >= refactor_period then refactor t;
-    restore t;
+    (* reduced costs are kept exact by the pivots and stay valid across
+       bound edits and row additions, so a warm call only repositions *)
+    if t.stale || t.neta - t.neta0 >= refactor_period then refresh t else reposition t;
     let outcome =
       match dual_simplex t ~max_iters ~iters ~should_stop with
       | `Opt -> extract t
