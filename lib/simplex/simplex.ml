@@ -107,7 +107,6 @@ module Incremental = struct
     base_lower : float array;
     base_upper : float array;
     cost : float array;
-    mutable rows : row array;
     mutable m : int;
     mutable ridx : int array array;  (* row-wise A, duplicates merged *)
     mutable rval : float array array;
@@ -158,7 +157,6 @@ module Incremental = struct
       base_lower = Array.sub p.lower 0 n;
       base_upper = Array.sub p.upper 0 n;
       cost = Array.sub p.objective 0 n;
-      rows = p.rows;
       m;
       ridx = Array.map fst merged;
       rval = Array.map snd merged;
@@ -604,9 +602,12 @@ module Incremental = struct
   let extract t =
     let x = Array.init t.n (fun j -> Float.min t.hi.(j) (Float.max t.lo.(j) t.x.(j))) in
     let activity =
-      Array.map
-        (fun (r : row) -> Array.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. r.coeffs)
-        t.rows
+      Array.mapi
+        (fun i idx ->
+          let s = ref 0. in
+          Array.iteri (fun c j -> s := !s +. (t.rval.(i).(c) *. x.(j))) idx;
+          !s)
+        t.ridx
     in
     let value = ref 0. in
     Array.iteri (fun j c -> if c <> 0. then value := !value +. (c *. x.(j))) t.cost;
@@ -620,7 +621,6 @@ module Incremental = struct
     let idx, v = merge_row r in
     let sg = slack_sign r.rel in
     let grow a x = Array.append a [| x |] in
-    t.rows <- grow t.rows r;
     t.ridx <- grow t.ridx idx;
     t.rval <- grow t.rval v;
     t.rhs <- grow t.rhs r.rhs;
@@ -668,7 +668,6 @@ module Incremental = struct
       t.basis.(!r) <- s;
       t.pos.(s) <- !r
     end;
-    t.rows <- array_remove t.rows i;
     t.ridx <- array_remove t.ridx i;
     t.rval <- array_remove t.rval i;
     t.rhs <- array_remove t.rhs i;

@@ -18,7 +18,7 @@
     otherwise, with s_i in [0, inf) ([0, 0] for [Eq]); there are no
     artificial columns.  The basis inverse is kept in product form (eta
     file) and refactored every 64 updates, after a row is dropped, or
-    when a residual check fails.  With finite column bounds the all-slack
+    when a residual or Farkas check fails.  With finite column bounds the all-slack
     basis is dual feasible, so the first solve is the same dual simplex
     as every later one: there is no phase 1 and no primal simplex.  A
     one-off solve is [Incremental.reoptimize (Incremental.create p)]. *)
@@ -47,9 +47,10 @@ type solution = {
   x : float array;  (** primal values, length [ncols] *)
   row_activity : float array;  (** [a_i x] per row, length [m] *)
   duals : float array;
-      (** simplex multipliers per row at the optimum; for a tight [Ge] row
-          of a minimization problem the dual is [<= 0] under our internal
-          sign convention — callers should only rely on zero/non-zero. *)
+      (** row duals y = c_B B^-1 at the optimum, with the sign each
+          relation needs: [>= 0] on a [Ge] row, [<= 0] on a [Le] row.
+          [value] equals the Lagrangian bound
+          y b + sum_j min over [lower_j, upper_j] of (c - y A)_j x_j. *)
 }
 
 type outcome =
@@ -57,9 +58,9 @@ type outcome =
   | Infeasible of (int * float) list
       (** rows with a non-zero entry in the violated row of B^-1 (a
           Farkas ray of the dual simplex), each paired with that
-          multiplier: an infeasible subsystem witness.  Consumers needing
-          a nonnegative Farkas combination must resolve the global
-          sign. *)
+          multiplier, oriented like the duals: up to rounding, the
+          combination sum w_i a_i x >= sum w_i b_i has no solution in the
+          column box. *)
   | Iteration_limit of float option
       (** gave up; [Some z] is a safe dual (Lagrangian) lower bound on the
           optimum valid at the point the solver stopped *)
