@@ -212,7 +212,9 @@ module Incremental = struct
 
   (* y <- B^-1 y (row space in, basis positions out). *)
   let ftran t y =
-    Array.iteri (fun i s -> y.(i) <- y.(i) *. s) t.diag;
+    for i = 0 to Array.length t.diag - 1 do
+      y.(i) <- y.(i) *. t.diag.(i)
+    done;
     for e = 0 to t.neta - 1 do
       match t.etas.(e) with
       | Col { p; idx; v; piv } ->
@@ -249,23 +251,46 @@ module Incremental = struct
             z.(idx.(k)) <- z.(idx.(k)) -. (v.(k) *. zr)
           done
     done;
-    Array.iteri (fun i s -> z.(i) <- z.(i) *. s) t.diag
+    for i = 0 to Array.length t.diag - 1 do
+      z.(i) <- z.(i) *. t.diag.(i)
+    done
 
   (* Dense column of variable [k] in row space. *)
   let load_column t k y =
     Array.fill y 0 t.m 0.;
-    if k < t.n then Array.iteri (fun c i -> y.(i) <- t.cval.(k).(c)) t.cidx.(k)
+    if k < t.n then begin
+      let idx = t.cidx.(k) and v = t.cval.(k) in
+      for c = 0 to Array.length idx - 1 do
+        y.(idx.(c)) <- v.(c)
+      done
+    end
     else y.(k - t.n) <- t.sgn.(k - t.n)
 
+  (* a_i x for row [i]. *)
+  let row_dot t i x =
+    let idx = t.ridx.(i) and v = t.rval.(i) in
+    let s = ref 0. in
+    for c = 0 to Array.length idx - 1 do
+      s := !s +. (v.(c) *. x.(idx.(c)))
+    done;
+    !s
+
   let col_eta y p =
-    let idx = ref [] and v = ref [] in
-    for i = Array.length y - 1 downto 0 do
-      if i <> p && abs_float y.(i) > 1e-13 then begin
-        idx := i :: !idx;
-        v := y.(i) :: !v
+    let keep i = i <> p && abs_float y.(i) > 1e-13 in
+    let nnz = ref 0 in
+    for i = 0 to Array.length y - 1 do
+      if keep i then incr nnz
+    done;
+    let idx = Array.make !nnz 0 and v = Array.make !nnz 0. in
+    let k = ref 0 in
+    for i = 0 to Array.length y - 1 do
+      if keep i then begin
+        idx.(!k) <- i;
+        v.(!k) <- y.(i);
+        incr k
       end
     done;
-    Col { p; idx = Array.of_list !idx; v = Array.of_list !v; piv = y.(p) }
+    Col { p; idx; v; piv = y.(p) }
 
   (* Product-form reinversion of the current basic set: slacks keep
      their own row's position, structural columns (sparsest first) take
@@ -330,13 +355,13 @@ module Incremental = struct
      its box; resting point for a slack whose reduced cost asks for its
      (infinite) upper bound. *)
   let implied_upper t k =
-    let i = k - t.n and s = -.t.sgn.(k - t.n) in
+    let i = k - t.n in
+    let idx = t.ridx.(i) and v = t.rval.(i) and s = -.t.sgn.(i) in
     let u = ref (t.sgn.(i) *. t.rhs.(i)) in
-    Array.iteri
-      (fun c j ->
-        let a = s *. t.rval.(i).(c) in
-        u := !u +. Float.max (a *. t.lo.(j)) (a *. t.hi.(j)))
-      t.ridx.(i);
+    for c = 0 to Array.length idx - 1 do
+      let a = s *. v.(c) and j = idx.(c) in
+      u := !u +. Float.max (a *. t.lo.(j)) (a *. t.hi.(j))
+    done;
     Float.max !u 0.
 
   (* Basic values x_B = B^-1 (b - N x_N). *)
@@ -351,7 +376,9 @@ module Incremental = struct
       if t.pos.(t.n + i) < 0 then r.(i) <- r.(i) -. (t.sgn.(i) *. t.x.(t.n + i))
     done;
     ftran t r;
-    Array.iteri (fun p k -> t.x.(k) <- r.(p)) t.basis
+    for p = 0 to t.m - 1 do
+      t.x.(t.basis.(p)) <- r.(p)
+    done
 
   (* The bound nonbasic variable [k] rests on under its reduced cost. *)
   let resting t k =
@@ -386,9 +413,8 @@ module Incremental = struct
   let residual t =
     let worst = ref 0. in
     for i = 0 to t.m - 1 do
-      let s = ref (t.sgn.(i) *. t.x.(t.n + i)) in
-      Array.iteri (fun c j -> s := !s +. (t.rval.(i).(c) *. t.x.(j))) t.ridx.(i);
-      worst := Float.max !worst (abs_float (!s -. t.rhs.(i)) /. (1. +. abs_float t.rhs.(i)))
+      let s = row_dot t i t.x +. (t.sgn.(i) *. t.x.(t.n + i)) in
+      worst := Float.max !worst (abs_float (s -. t.rhs.(i)) /. (1. +. abs_float t.rhs.(i)))
     done;
     !worst
 
@@ -601,16 +627,11 @@ module Incremental = struct
 
   let extract t =
     let x = Array.init t.n (fun j -> Float.min t.hi.(j) (Float.max t.lo.(j) t.x.(j))) in
-    let activity =
-      Array.mapi
-        (fun i idx ->
-          let s = ref 0. in
-          Array.iteri (fun c j -> s := !s +. (t.rval.(i).(c) *. x.(j))) idx;
-          !s)
-        t.ridx
-    in
+    let activity = Array.init t.m (fun i -> row_dot t i x) in
     let value = ref 0. in
-    Array.iteri (fun j c -> if c <> 0. then value := !value +. (c *. x.(j))) t.cost;
+    for j = 0 to t.n - 1 do
+      value := !value +. (t.cost.(j) *. x.(j))
+    done;
     Optimal { value = !value; x; row_activity = activity; duals = certificate t (duals t) }
 
   (* Append a row with its slack basic.  The old rows' duals, hence all
@@ -632,9 +653,7 @@ module Incremental = struct
     t.basis <- grow t.basis s;
     t.m <- t.m + 1;
     t.cols_ok <- false;
-    let act = ref 0. in
-    Array.iteri (fun c j -> act := !act +. (v.(c) *. t.x.(j))) idx;
-    t.x <- grow t.x (sg *. (r.rhs -. !act));
+    t.x <- grow t.x (sg *. (r.rhs -. row_dot t i t.x));
     if t.started && not t.stale then begin
       let ps = ref [] and cs = ref [] in
       Array.iteri
