@@ -80,10 +80,10 @@ val stats : unit -> stats
 
 (** Persistent LP state for sequences of re-solves that differ in column
     bounds and in appended or dropped rows — the B&B lower-bounding and
-    cutting-plane workload.  Each {!reoptimize} recomputes the duals and
-    reduced costs of the current basis, rests every nonbasic column on the
-    bound its reduced cost prefers and runs the dual simplex from there.
-    No edit discards the basis. *)
+    cutting-plane workload.  Each {!reoptimize} rests every nonbasic column
+    on the bound its reduced cost prefers (the pivots keep the reduced
+    costs exact; a refactorization recomputes them from A) and runs the
+    dual simplex from there.  No edit discards the basis. *)
 module Incremental : sig
   type t
 
