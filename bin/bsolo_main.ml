@@ -863,23 +863,6 @@ let inspect_report path json =
   print_lines (Inspect.render_cuts json);
   print_newline ()
 
-let inspect_bench path json =
-  Printf.printf "== %s (bench regression report) ==\n" path;
-  let rev = Option.bind (Inspect.Json.member "rev" json) Inspect.Json.to_string_opt in
-  Printf.printf "rev=%s\n\n" (Option.value ~default:"?" rev);
-  Printf.printf "%-28s %-12s %-14s %10s %10s %10s %10s %8s %11s %6s %6s %8s\n" "instance" "solver"
-    "status" "cost" "elapsed" "nodes" "conflicts" "imports" "props/s" "cuts" "active" "presolve";
-  List.iter
-    (fun (r : Inspect.Bench.row) ->
-      Printf.printf "%-28s %-12s %-14s %10s %10.3f %10d %10d %8d %11s %6d %6d %8d\n" r.name
-        r.solver r.status
-        (match r.cost with None -> "-" | Some c -> string_of_int c)
-        r.elapsed r.nodes r.conflicts r.imports
-        (if r.props_per_sec > 0. then Printf.sprintf "%.0f" r.props_per_sec else "-")
-        r.cuts_separated r.cuts_active r.presolve_reductions)
-    (Inspect.Bench.rows_of_json json);
-  print_newline ()
-
 (* Tail a heartbeat JSONL file, re-rendering the status view as
    snapshots arrive; stops at the end record.  The writer flushes every
    complete line, so a torn tail line is at worst one missed repaint. *)
@@ -1042,18 +1025,16 @@ let inspect_run files diff_mode spans_file live_file follow check profile_mode
       | [] -> 0
       | path :: rest ->
         load path (fun json ->
-            (match Inspect.schema_of json with
-            | Some s when s = Inspect.Bench.schema -> inspect_bench path json
-            | Some _ | None -> inspect_report path json);
+            inspect_report path json;
             go rest)
     in
     go files
 
 let inspect_files_arg =
   let doc =
-    "Run report(s) (--json output) or bench regression reports to analyse; or \
-     $(b,forensics) $(i,RECORDING) to reconstruct the search tree from a --record flight \
-     recording (per-procedure subtree blame by depth band, wasted work, gap stalls)."
+    "Run report(s) (--json output) to analyse; or $(b,forensics) $(i,RECORDING) to \
+     reconstruct the search tree from a --record flight recording (per-procedure subtree \
+     blame by depth band, wasted work, gap stalls)."
   in
   Arg.(value & pos_all string [] & info [] ~docv:"REPORT" ~doc)
 

@@ -1,8 +1,8 @@
 (* Derived analyses over the observability artifacts: `--json` run
-   reports, `--trace-spans` span files, `--heartbeat` JSONL streams and
-   the bench regression reports.  Everything here is a pure function
-   from parsed JSON to strings or typed rows, so the CLI subcommand
-   stays a thin shell and the analyses are unit-testable. *)
+   reports, `--trace-spans` span files and `--heartbeat` JSONL streams.
+   Everything here is a pure function from parsed JSON to strings or
+   typed rows, so the CLI subcommand stays a thin shell and the analyses
+   are unit-testable. *)
 
 module Json = Telemetry.Json
 
@@ -319,7 +319,7 @@ let entry ~threshold ~floor key base cand =
   let regression = cand -. base > floor && ratio > 1. +. threshold in
   { key; base; cand; ratio; regression }
 
-let diff_run_reports ~threshold a b =
+let diff ~threshold a b =
   let keys =
     List.sort_uniq compare (List.map fst (counters_alist a) @ List.map fst (counters_alist b))
   in
@@ -348,11 +348,8 @@ let render_diff ?(all = false) entries =
   | [] -> [ "no regressions beyond threshold" ]
   | _ ->
     let header = Printf.sprintf "%-34s %14s %14s %8s" "metric" "base" "candidate" "ratio" in
-    let num v = if Float.is_nan v then "--" else Printf.sprintf "%.3f" v in
-    let ratio e =
-      if Float.is_nan e.ratio || e.ratio = infinity then "--"
-      else Printf.sprintf "%.2fx" e.ratio
-    in
+    let num v = Printf.sprintf "%.3f" v in
+    let ratio e = if e.ratio = infinity then "--" else Printf.sprintf "%.2fx" e.ratio in
     let line e =
       Printf.sprintf "%-34s %14s %14s %8s%s" e.key (num e.base) (num e.cand) (ratio e)
         (if e.regression then "  REGRESSION" else "")
@@ -360,246 +357,6 @@ let render_diff ?(all = false) entries =
     header :: List.map line shown
 
 let has_regression entries = List.exists (fun e -> e.regression) entries
-
-(* --- bench regression reports ---------------------------------------------- *)
-
-module Bench = struct
-  let schema = "bsolo-bench-regress/1"
-
-  type row = {
-    name : string;
-    solver : string;
-    status : string;
-    cost : int option;
-    elapsed : float;
-    nodes : int;
-    conflicts : int;
-    bound_conflicts : int;
-    lb_calls : int;
-    simplex_iters : int;
-    warm_hits : int;
-    imports : int;  (** shared-incumbent imports (portfolio rows; 0 otherwise) *)
-    proof_steps : int;  (** derivation steps in the checked proof (0 = no --proof) *)
-    check_ms : float;  (** checkproof replay time in milliseconds *)
-    props_per_sec : float;
-        (** propagation throughput (implied assignments per second of
-            solve wall time); 0 = not measured.  Higher is better: the
-            diff flags drops, not gains. *)
-    cuts_separated : int;  (** LP cuts separated, all families ([cuts.*.separated]) *)
-    cuts_active : int;
-        (** cuts still in the pool at the end (applied minus evicted);
-            0 on baselines written before cut separation existed, which
-            gates the diff exactly like [props_per_sec] *)
-    presolve_reductions : int;  (** exact presolve reductions ([presolve.reductions]) *)
-  }
-
-  let row_json (r : row) =
-    Json.Obj
-      [
-        "name", Json.String r.name;
-        "solver", Json.String r.solver;
-        "status", Json.String r.status;
-        "cost", (match r.cost with None -> Json.Null | Some c -> Json.Int c);
-        "elapsed", Json.Float r.elapsed;
-        "nodes", Json.Int r.nodes;
-        "conflicts", Json.Int r.conflicts;
-        "bound_conflicts", Json.Int r.bound_conflicts;
-        "lb_calls", Json.Int r.lb_calls;
-        "simplex_iters", Json.Int r.simplex_iters;
-        "warm_hits", Json.Int r.warm_hits;
-        "imports", Json.Int r.imports;
-        "proof_steps", Json.Int r.proof_steps;
-        "check_ms", Json.Float r.check_ms;
-        "props_per_sec", Json.Float r.props_per_sec;
-        "cuts_separated", Json.Int r.cuts_separated;
-        "cuts_active", Json.Int r.cuts_active;
-        "presolve_reductions", Json.Int r.presolve_reductions;
-      ]
-
-  let make ?obsd_overhead_pct ~rev ~limit ~scale ~per_family rows =
-    Json.Obj
-      ([
-         "schema", Json.String schema;
-         "rev", Json.String rev;
-         "limit", Json.Float limit;
-         "scale", Json.Float scale;
-         "per_family", Json.Int per_family;
-       ]
-      @ (match obsd_overhead_pct with
-        | None -> []
-        | Some pct -> [ "obsd_overhead_pct", Json.Float pct ])
-      @ [ "instances", Json.List (List.map row_json rows) ])
-
-  let row_of_json j =
-    let s name = Option.bind (Json.member name j) Json.to_string_opt in
-    let i name = Option.value ~default:0 (Option.bind (Json.member name j) Json.to_int) in
-    let f name = Option.value ~default:0. (Option.bind (Json.member name j) Json.to_float) in
-    match s "name" with
-    | None -> None
-    | Some name ->
-      Some
-        {
-          name;
-          solver = Option.value ~default:"?" (s "solver");
-          status = Option.value ~default:"UNKNOWN" (s "status");
-          cost = Option.bind (Json.member "cost" j) Json.to_int;
-          elapsed = f "elapsed";
-          nodes = i "nodes";
-          conflicts = i "conflicts";
-          bound_conflicts = i "bound_conflicts";
-          lb_calls = i "lb_calls";
-          simplex_iters = i "simplex_iters";
-          warm_hits = i "warm_hits";
-          imports = i "imports";
-          proof_steps = i "proof_steps";
-          check_ms = f "check_ms";
-          props_per_sec = f "props_per_sec";
-          cuts_separated = i "cuts_separated";
-          cuts_active = i "cuts_active";
-          presolve_reductions = i "presolve_reductions";
-        }
-
-  let rows_of_json json =
-    match Option.bind (Json.member "instances" json) Json.to_list with
-    | None -> []
-    | Some rows -> List.filter_map row_of_json rows
-
-  let solved status =
-    match status with "OPTIMAL" | "SATISFIABLE" | "UNSATISFIABLE" -> true | _ -> false
-
-  (* Observability overhead is an absolute percentage gate, not a
-     ratio-vs-baseline: the candidate regresses when serving
-     /metrics + /status + /events costs the solver more than this many
-     percent CPU, regardless of what the baseline happened to measure
-     (the measurement is noise-centred near zero, so ratios between two
-     near-zero numbers mean nothing).  Reports written before the field
-     existed skip the comparison entirely. *)
-  let obsd_overhead_gate = 2.0
-
-  let obsd_overhead_entries base cand =
-    let get j = Option.bind (Json.member "obsd_overhead_pct" j) Json.to_float in
-    match get base, get cand with
-    | Some b, Some c ->
-      [
-        {
-          key = "obsd_overhead_pct";
-          base = b;
-          cand = c;
-          ratio = 1.;
-          regression = c > obsd_overhead_gate;
-        };
-      ]
-    | _ -> []
-
-  (* Per-instance comparison: losing a solved status or finding a worse
-     cost is always a regression; wall time and node counts regress past
-     the relative threshold (with the same noise floors as report
-     diffs). *)
-  let diff ~threshold base cand =
-    let base_rows = rows_of_json base and cand_rows = rows_of_json cand in
-    let find name rows = List.find_opt (fun (r : row) -> r.name = name) rows in
-    obsd_overhead_entries base cand
-    @ List.concat_map
-      (fun (b : row) ->
-        match find b.name cand_rows with
-        | None ->
-          [ { key = b.name ^ ".missing"; base = 1.; cand = 0.; ratio = 0.; regression = true } ]
-        | Some c ->
-          let status_reg = solved b.status && not (solved c.status) in
-          let cost_reg =
-            match b.cost, c.cost with Some bc, Some cc -> cc > bc | Some _, None -> true | _ -> false
-          in
-          [
-            {
-              key = b.name ^ ".status";
-              base = (if solved b.status then 1. else 0.);
-              cand = (if solved c.status then 1. else 0.);
-              ratio = 1.;
-              regression = status_reg;
-            };
-            {
-              key = b.name ^ ".cost";
-              base = (match b.cost with Some v -> float_of_int v | None -> Float.nan);
-              cand = (match c.cost with Some v -> float_of_int v | None -> Float.nan);
-              ratio = 1.;
-              regression = cost_reg;
-            };
-            entry ~threshold ~floor:seconds_floor (b.name ^ ".elapsed") b.elapsed c.elapsed;
-            entry ~threshold ~floor:counter_floor (b.name ^ ".nodes")
-              (float_of_int b.nodes) (float_of_int c.nodes);
-          ]
-          (* Baselines written before simplex iterations were recorded
-             carry 0 here; only compare when the base actually measured
-             them, so old baselines never fake a regression. *)
-          @ (if b.simplex_iters > 0 then
-               [
-                 entry ~threshold ~floor:counter_floor (b.name ^ ".simplex_iters")
-                   (float_of_int b.simplex_iters)
-                   (float_of_int c.simplex_iters);
-               ]
-             else [])
-          (* Same gating for proof metrics: only baselines produced with
-             --proof (non-zero step counts) participate. *)
-          @ (if b.proof_steps > 0 then
-               [
-                 entry ~threshold ~floor:counter_floor (b.name ^ ".proof_steps")
-                   (float_of_int b.proof_steps)
-                   (float_of_int c.proof_steps);
-                 entry ~threshold ~floor:(1000. *. seconds_floor) (b.name ^ ".check_ms")
-                   b.check_ms c.check_ms;
-               ]
-             else [])
-          (* Propagation throughput is higher-is-better: regress when the
-             candidate is slower by more than the threshold.  Baselines
-             that never measured it carry 0 and are skipped. *)
-          @ (if b.props_per_sec > 0. && c.props_per_sec > 0. then begin
-               let ratio = c.props_per_sec /. b.props_per_sec in
-               [
-                 {
-                   key = b.name ^ ".props_per_sec";
-                   base = b.props_per_sec;
-                   cand = c.props_per_sec;
-                   ratio;
-                   regression = ratio < 1. /. (1. +. threshold);
-                 };
-               ]
-             end
-             else [])
-          (* Cut/presolve activity is higher-is-better (losing it means
-             the separator or presolve went quiet); gated like
-             props_per_sec on baselines that measured it. *)
-          @
-          List.concat_map
-            (fun (key, bv, cv) ->
-              if bv > 0 && cv >= 0 then begin
-                let bf = float_of_int bv and cf = float_of_int cv in
-                let ratio = if bf = 0. then 1. else cf /. bf in
-                [
-                  {
-                    key = b.name ^ "." ^ key;
-                    base = bf;
-                    cand = cf;
-                    ratio;
-                    regression = cv = 0 || ratio < 1. /. (1. +. threshold);
-                  };
-                ]
-              end
-              else [])
-            [
-              "cuts_separated", b.cuts_separated, c.cuts_separated;
-              "cuts_active", b.cuts_active, c.cuts_active;
-              "presolve_reductions", b.presolve_reductions, c.presolve_reductions;
-            ])
-      base_rows
-end
-
-(* Dispatch on schema: two bench reports diff instance-wise, anything
-   else is treated as a run report. *)
-let diff ~threshold a b =
-  match schema_of a, schema_of b with
-  | Some sa, Some sb when sa = Bench.schema && sb = Bench.schema ->
-    Bench.diff ~threshold a b
-  | _ -> diff_run_reports ~threshold a b
 
 (* --- sampling-profile view ------------------------------------------------- *)
 

@@ -55,13 +55,14 @@ let compare_terms t1 t2 =
 (* Guard against coefficient magnitudes that could overflow slack sums
    (63-bit ints leave ample headroom below this bound). *)
 let coefficient_limit = 1 lsl 40
+let degree_limit = 4 * coefficient_limit
 
 let make_ge raw rhs =
   List.iter
     (fun (c, _) ->
       if abs c > coefficient_limit then invalid_arg "Constr.make_ge: coefficient too large")
     raw;
-  if abs rhs > coefficient_limit * 4 then invalid_arg "Constr.make_ge: degree too large";
+  if abs rhs > degree_limit then invalid_arg "Constr.make_ge: degree too large";
   let merged, rhs = merge_by_var raw rhs in
   if rhs <= 0 then Trivial_true
   else begin

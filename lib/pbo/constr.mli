@@ -33,11 +33,19 @@ type relation =
   | Le
   | Eq
 
+val coefficient_limit : int
+(** 2^40: the largest raw coefficient magnitude {!make_ge} accepts. *)
+
+val degree_limit : int
+(** [4 * coefficient_limit]: the largest raw right-hand-side magnitude
+    {!make_ge} accepts. *)
+
 val make_ge : (int * Lit.t) list -> int -> norm
 (** [make_ge terms rhs] normalizes [sum terms >= rhs].  Raw coefficients
     may be negative, mention repeated variables or both polarities.
-    Raises [Invalid_argument] on coefficients beyond 2^40 (they could
-    overflow slack arithmetic). *)
+    Raises [Invalid_argument] on a coefficient beyond
+    {!coefficient_limit} or a right-hand side beyond {!degree_limit}
+    (they could overflow slack arithmetic). *)
 
 val of_relation : (int * Lit.t) list -> relation -> int -> norm list
 (** Like {!make_ge} but for any relation; [Eq] yields two results. *)

@@ -43,11 +43,11 @@ let tokenize_line ~lineno line =
       | '+' | '-' ->
         let stop = number_end (i + 1) in
         if stop = i + 1 then fail "sign without digits";
-        emit (Int (int_of_string (String.sub line i (stop - i))));
+        emit (Int (number i stop));
         go stop
       | '0' .. '9' ->
         let stop = number_end i in
-        emit (Int (int_of_string (String.sub line i (stop - i))));
+        emit (Int (number i stop));
         go stop
       | '~' -> variable (i + 1) ~negated:true
       | 'x' -> variable i ~negated:false
@@ -59,11 +59,15 @@ let tokenize_line ~lineno line =
         else fail "unexpected 'm'"
       | c -> fail (Printf.sprintf "unexpected character %C" c)
   and number_end i = if i < n && is_digit line.[i] then number_end (i + 1) else i
+  and number i stop =
+    match int_of_string_opt (String.sub line i (stop - i)) with
+    | Some v -> v
+    | None -> fail (Printf.sprintf "number %s out of range" (String.sub line i (stop - i)))
   and variable i ~negated =
     if i >= n || line.[i] <> 'x' then fail "expected variable after '~'";
     let stop = number_end (i + 1) in
     if stop = i + 1 then fail "variable without index";
-    let idx = int_of_string (String.sub line (i + 1) (stop - i - 1)) in
+    let idx = number (i + 1) stop in
     if idx < 1 then fail "variable indices start at 1";
     emit (Var (Lit.make (idx - 1) (not negated)));
     go stop
@@ -83,8 +87,28 @@ let product_var builder cache lits =
     Hashtbl.add cache key l;
     l
 
+(* Magnitude checks, one comparison per term.  Constraint coefficients
+   and right-hand sides must stay within what [Constr.make_ge] accepts.
+   The objective is bounded the same way, and so is the sum of its
+   absolute costs: it caps every incumbent cost, so [max_cost_sum + 1],
+   [path + lb] and the incumbent cut's degree cannot overflow. *)
 let parse_tokens builder cache ~lineno tokens =
   let fail msg = raise (Parse_error (Printf.sprintf "line %d: %s" lineno msg)) in
+  let bounded what limit v =
+    if v < -limit || v > limit then fail (Printf.sprintf "%s %d exceeds %d" what v limit)
+  in
+  let check_terms raw =
+    List.iter (fun (c, _) -> bounded "coefficient" Constr.coefficient_limit c) raw
+  in
+  let check_costs raw =
+    let sum = ref 0 in
+    List.iter
+      (fun (c, _) ->
+        bounded "cost" Constr.coefficient_limit c;
+        sum := !sum + abs c;
+        bounded "absolute cost sum" Constr.degree_limit !sum)
+      raw
+  in
   let rec product acc = function
     | Var l :: rest -> product (l :: acc) rest
     | rest -> List.rev acc, rest
@@ -109,11 +133,15 @@ let parse_tokens builder cache ~lineno tokens =
   | [] -> ()
   | Min :: rest ->
     (match terms [] rest with
-    | raw, [ Semi ] -> Problem.Builder.set_objective builder raw
+    | raw, [ Semi ] ->
+      check_costs raw;
+      Problem.Builder.set_objective builder raw
     | _, _ -> fail "malformed objective")
   | rest ->
     (match terms [] rest with
     | raw, [ Rel rel; Int rhs; Semi ] ->
+      check_terms raw;
+      bounded "right-hand side" Constr.degree_limit rhs;
       List.iter (Problem.Builder.add_norm builder) (Constr.of_relation raw rel rhs)
     | _, _ -> fail "malformed constraint")
 
