@@ -2,20 +2,22 @@
 # Tier-1 smoke check: build, tests, formatting (when ocamlformat is
 # available), and one tiny instrumented solve whose flight recording and
 # JSON report are validated (strictly decreasing recorded incumbents,
-# one run_id, a gap series whose lb never exceeds its ub).  Also exercises the live-observability surface:
-# a --trace-spans/--heartbeat/--metrics portfolio solve whose artifacts
-# are validated with `bsolo inspect --spans` / `--live --check`, and a
+# one run_id, a gap series whose lb never exceeds its ub).  Also exercises
+# the live-observability surface, which is file-based: a
+# --trace-spans/--heartbeat/--metrics portfolio solve whose artifacts are
+# validated with `bsolo inspect --spans` / `--live --check` / `--follow`,
+# a --metrics file linted while its solve still runs, and a
 # single-engine --profile-hz run whose sampled profile must agree with
 # the exact phase timers (`inspect --profile` exits 1 on disagreement).
 # The flight recorder is exercised end to end: a --record run replayed
 # deterministically with `bsolo replay --check`, its forensics node
 # accounting reconciled, a --record-ring run killed with SIGTERM whose
-# tail must still parse, and a stitched --portfolio recording.  The
-# three --bcp propagation modes and the three --cuts modes must produce
-# identical optima, and a hybrid recording must replay cleanly under all
-# three --bcp modes.  Single-solve optima, work counters and proof
-# checks are pinned exactly by the counter gate in test/counters.t,
-# which `dune runtest` runs.
+# tail must still parse without a fin frame, and a stitched --portfolio
+# recording.  The three --bcp propagation modes and the three --cuts
+# modes must produce identical optima, and a hybrid recording must
+# replay cleanly under all three --bcp modes.  Single-solve optima, work
+# counters and proof checks are pinned exactly by the counter gate in
+# test/counters.t, which `dune runtest` runs.
 # Exits non-zero on the first failure.
 #
 # With --proof, a --portfolio --jobs 2 solve is additionally logged as
@@ -172,74 +174,59 @@ grep -q '^# TYPE bsolo_' "$tmpdir/metrics.prom" || {
   echo "FAIL: no namespaced TYPE lines in metrics"; exit 1;
 }
 
-echo "== remote observability (--listen + top + SSE) =="
-# Needs a solve that outlives the scrapes: every stock benchmark instance
-# solves sub-second, so generate a harder knapsack that runs into its
-# timeout.  Port 0 lets the kernel pick; the solver prints the bound
-# address on stdout.
-./_build/default/bin/genpb.exe knap --scale 8 --seed 7 -o "$tmpdir/hard.opb"
+echo "== follow a heartbeat file (inspect --live --follow) =="
+# On a finished file --follow renders every snapshot and stops at the
+# end record; on a running solve it repaints as snapshots arrive.
+timeout 30 "$bsolo" inspect --live "$tmpdir/heartbeat.jsonl" --follow >"$tmpdir/follow.out" 2>&1 || {
+  echo "FAIL: --follow did not stop at the heartbeat end record"; cat "$tmpdir/follow.out"; exit 1;
+}
+grep -q "heartbeat: run $rid" "$tmpdir/follow.out" || {
+  echo "FAIL: --follow rendered no status view"; cat "$tmpdir/follow.out"; exit 1;
+}
+
+echo "== live metrics file (--metrics without --heartbeat) =="
+# The metrics file is rewritten on every heartbeat tick, also when no
+# heartbeat file is written.  Every stock benchmark instance solves
+# sub-second, so generate a harder knapsack that runs into its timeout,
+# and check a copy of the file taken while the solve still runs.
+./_build/default/bin/genpb.exe knap --scale 8 --seed 7 -o "$tmpdir/hard.opb" >/dev/null
 timeout 60 "$bsolo" "$tmpdir/hard.opb" \
-  --portfolio --jobs 2 --timeout 15 --listen 127.0.0.1:0 \
-  --heartbeat-every 0.2 --json "$tmpdir/obsd-report.json" \
-  >"$tmpdir/obsd.out" 2>&1 &
-obsd_pid=$!
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -n 's|^c obsd: listening on http://127\.0\.0\.1:\([0-9]*\)$|\1|p' "$tmpdir/obsd.out")
-  [ -n "$port" ] && break
-  sleep 0.1
-done
-[ -n "$port" ] || {
-  echo "FAIL: --listen never announced its address"; cat "$tmpdir/obsd.out"; exit 1;
-}
-"$bsolo" top --connect "127.0.0.1:$port" --get /healthz >"$tmpdir/healthz.out" || {
-  echo "FAIL: /healthz not 200 during a live solve"; cat "$tmpdir/healthz.out"; exit 1;
-}
-"$bsolo" top --connect "127.0.0.1:$port" --get /status >"$tmpdir/status.json" || {
-  echo "FAIL: /status fetch failed"; exit 1;
-}
-grep -q '"schema":"bsolo-status/1"' "$tmpdir/status.json" || {
-  echo "FAIL: /status schema marker missing"; cat "$tmpdir/status.json"; exit 1;
-}
-# Portfolio member gauges appear with the first heartbeat tick, so a
-# scrape that lands before it sees none: re-scrape for up to ~5 s until
-# one shows.  The assertion below is unchanged.
+  --portfolio --jobs 2 --timeout 15 --metrics "$tmpdir/live-metrics.prom" \
+  --heartbeat-every 0.2 >"$tmpdir/live.out" 2>&1 &
+live_pid=$!
+# Member series appear with the first tick after a member starts; poll
+# for up to ~5 s.
 for _ in $(seq 1 50); do
-  "$bsolo" top --connect "127.0.0.1:$port" --get /metrics >"$tmpdir/scrape.prom" || {
-    echo "FAIL: /metrics scrape failed"; exit 1;
-  }
-  grep -q '^bsolo_portfolio_' "$tmpdir/scrape.prom" && break
+  if [ -s "$tmpdir/live-metrics.prom" ]; then
+    cp "$tmpdir/live-metrics.prom" "$tmpdir/live-copy.prom"
+    grep -q '^bsolo_portfolio_' "$tmpdir/live-copy.prom" && break
+  fi
   sleep 0.1
 done
-echo "== scraped exposition is lint-clean (inspect --metrics) =="
-"$bsolo" inspect --metrics "$tmpdir/scrape.prom" || {
-  echo "FAIL: scraped /metrics exposition failed lint"; exit 1;
+kill -0 "$live_pid" 2>/dev/null || {
+  echo "FAIL: the solve exited before its metrics file carried member series";
+  cat "$tmpdir/live.out"; exit 1;
 }
-grep -q '^bsolo_portfolio_' "$tmpdir/scrape.prom" || {
-  echo "FAIL: live scrape carries no portfolio member metrics"; exit 1;
+[ -s "$tmpdir/live-copy.prom" ] || {
+  echo "FAIL: no metrics file while the solve runs"; kill "$live_pid"; exit 1;
 }
-echo "== bsolo top renders 3 live frames =="
-timeout 30 "$bsolo" top --connect "127.0.0.1:$port" --frames 3 >"$tmpdir/top.out" 2>&1 || {
-  echo "FAIL: top did not render 3 heartbeat frames"; cat "$tmpdir/top.out"; exit 1;
+"$bsolo" inspect --metrics "$tmpdir/live-copy.prom" || {
+  echo "FAIL: live metrics file failed lint"; kill "$live_pid"; exit 1;
+}
+grep -q '^bsolo_portfolio_' "$tmpdir/live-copy.prom" || {
+  echo "FAIL: live metrics file carries no portfolio member series"; kill "$live_pid"; exit 1;
 }
 # Exit 1 = UNKNOWN: expected, the hard instance is built to outlive its
 # --timeout.  Anything else (crash, hard timeout kill) is a failure.
-obsd_rc=0
-wait "$obsd_pid" || obsd_rc=$?
-case "$obsd_rc" in
+live_rc=0
+wait "$live_pid" || live_rc=$?
+case "$live_rc" in
   0|1) ;;
-  *) echo "FAIL: --listen solve exited $obsd_rc"; cat "$tmpdir/obsd.out"; exit 1 ;;
+  *) echo "FAIL: live-metrics solve exited $live_rc"; cat "$tmpdir/live.out"; exit 1 ;;
 esac
-grep -q '^c obsd: served' "$tmpdir/obsd.out" || {
-  echo "FAIL: no obsd request-count summary line"; cat "$tmpdir/obsd.out"; exit 1;
+"$bsolo" inspect --metrics "$tmpdir/live-metrics.prom" >/dev/null || {
+  echo "FAIL: final metrics file failed lint"; exit 1;
 }
-echo "== /status run_id matches the run report =="
-orid=$(sed -n 's/.*"run_id":"\([0-9a-f]*\)".*/\1/p' "$tmpdir/obsd-report.json" | head -1)
-[ -n "$orid" ] || { echo "FAIL: obsd report has no run_id"; exit 1; }
-grep -q "\"run_id\":\"$orid\"" "$tmpdir/status.json" || {
-  echo "FAIL: /status run_id != report run_id ($orid)"; cat "$tmpdir/status.json"; exit 1;
-}
-echo "obsd: $(grep '^c obsd: served' "$tmpdir/obsd.out")"
 
 echo "== sampling profile agrees with exact timers (inspect --profile) =="
 timeout 120 "$bsolo" benchmarks/synth-s2.opb \
@@ -279,11 +266,21 @@ grep -q 'matches recorded fin' "$tmpdir/forensics.out" || {
 }
 
 echo "== ring recording leaves a parseable tail after SIGTERM =="
-timeout -s TERM 0.2 "$bsolo" benchmarks/synth-s2.opb \
-  --lb lpr --record "$tmpdir/ring.rec" --record-ring 256 >/dev/null 2>&1 || true
+# The generated hard knapsack runs far past 1 s, so timeout really
+# kills the solve (exit 124) and the recording has no fin frame.
+ring_rc=0
+timeout -s TERM 1 "$bsolo" "$tmpdir/hard.opb" \
+  --lb lpr --record "$tmpdir/ring.rec" --record-ring 256 >/dev/null 2>&1 || ring_rc=$?
+[ "$ring_rc" = 124 ] || {
+  echo "FAIL: the ring solve was not killed by SIGTERM (exit $ring_rc, want 124)"; exit 1;
+}
 [ -s "$tmpdir/ring.rec" ] || { echo "FAIL: SIGTERM left no ring recording"; exit 1; }
 "$bsolo" inspect forensics "$tmpdir/ring.rec" >"$tmpdir/ring-forensics.out" 2>&1 || {
   echo "FAIL: SIGTERM-killed ring recording did not parse";
+  cat "$tmpdir/ring-forensics.out"; exit 1;
+}
+grep -q 'no fin frame: run killed before the summary' "$tmpdir/ring-forensics.out" || {
+  echo "FAIL: the killed ring recording should have no fin frame";
   cat "$tmpdir/ring-forensics.out"; exit 1;
 }
 echo "ring tail: $(sed -n '4p' "$tmpdir/ring-forensics.out")"

@@ -65,7 +65,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
     no_presolve no_lp_branching no_preprocess
     no_adaptive_lb portfolio jobs verify verbosity stats json_file
     proof_file progress_every span_file heartbeat_file heartbeat_every profile_hz metrics_file
-    record_file record_ring listen =
+    record_file record_ring =
   (match verbosity with
   | [] -> ()
   | [ _ ] ->
@@ -84,16 +84,6 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       (Printf.sprintf "--proof is only supported by the bsolo engine and --portfolio (got --engine %s)"
          (engine_name engine))
   | Some _ | None -> ());
-  (* Validate the listen address before any work: a typo'd --listen must
-     fail fast, not after a long parse. *)
-  let listen_addr =
-    match listen with
-    | None -> None
-    | Some spec -> (
-      match Obsd.Client.parse_addr spec with
-      | Ok (host, port) -> Some (host, port)
-      | Error msg -> fatal ("--listen: " ^ msg))
-  in
   (match record_ring with
   | Some _ when record_file = None -> fatal "--record-ring needs --record FILE"
   | Some n when n <= 0 -> fatal "--record-ring needs a positive event count"
@@ -145,7 +135,6 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
     let want_report = stats || json_file <> None in
     let observing =
       span_file <> None || heartbeat_file <> None || profile_hz > 0. || metrics_file <> None
-      || listen_addr <> None
     in
     let want_telemetry =
       want_report || progress_every > 0 || observing || record_file <> None
@@ -249,12 +238,10 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
         with Sys_error msg -> fatal ("cannot open heartbeat file: " ^ msg))
       | _ -> None
     in
-    (* Every Prometheus consumer — the --metrics textfile and the
-       server's GET /metrics — renders the same source list through the
-       same renderer, so the two outputs are byte-identical.  Live
-       parallel portfolio members contribute their private registries
-       under the [portfolio.<name>.] prefix their post-join merge will
-       use, so metric names are stable across a member finishing. *)
+    (* The --metrics textfile renders the main registry plus the private
+       registries of live parallel portfolio members, under the
+       [portfolio.<name>.] prefix their post-join merge will use, so
+       metric names are stable across a member finishing. *)
     let member_lock = Mutex.create () in
     let member_sources = ref [] in
     let on_member_start name reg =
@@ -283,78 +270,6 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
         with Sys_error _ -> ())
       | _ -> ()
     in
-    (* The observability server: /metrics, /status, /healthz and the
-       /events SSE stream, live for the duration of the solve.  /status
-       snapshots through its own collector, so its node rates measure
-       the interval between consecutive /status requests without
-       disturbing the heartbeat ticker's deltas. *)
-    let server_ref = ref None in
-    let status_coll = Telemetry.Snapshot.collector ?registry:(Option.map (fun t -> t.Telemetry.Ctx.registry) tel) () in
-    let status_json () =
-      let snap = Telemetry.Snapshot.take status_coll in
-      let server_stats =
-        match !server_ref with
-        | None -> []
-        | Some srv ->
-          let st = Obsd.Server.stats srv in
-          [
-            ( "server",
-              Telemetry.Json.Obj
-                [
-                  "clients", Telemetry.Json.Int st.Obsd.Server.clients;
-                  "served", Telemetry.Json.Int st.served;
-                  "dropped_frames", Telemetry.Json.Int st.dropped;
-                ] );
-          ]
-      in
-      Telemetry.Json.to_string
-        (Telemetry.Json.Obj
-           ([
-              "schema", Telemetry.Json.String "bsolo-status/1";
-              "run_id", Telemetry.Json.String run_id;
-              "engine",
-                Telemetry.Json.String (if portfolio then "portfolio" else engine_name engine);
-              "instance", Telemetry.Json.String path;
-              "started", Telemetry.Json.Float started;
-              "uptime", Telemetry.Json.Float (Unix.gettimeofday () -. started);
-              "snapshot", Telemetry.Snapshot.encode snap;
-            ]
-           @ server_stats))
-    in
-    (match listen_addr with
-    | None -> ()
-    | Some (host, port) ->
-      let srv =
-        try
-          Obsd.Server.create ~host ~port
-            ~metrics:(fun () -> Telemetry.Promtext.render_sources (metrics_sources ()))
-            ~status:status_json
-            ~stall_after:((3. *. heartbeat_every) +. 1.)
-            ()
-        with Unix.Unix_error (e, _, _) ->
-          fatal
-            (Printf.sprintf "--listen %s:%d: %s" host port (Unix.error_message e))
-      in
-      server_ref := Some srv;
-      (* Machine-parsed by the smoke harness; with port 0 this is the
-         only place the chosen port is reported. *)
-      Printf.printf "c obsd: listening on http://%s:%d\n%!" (Obsd.Server.host srv)
-        (Obsd.Server.port srv));
-    let stop_server () =
-      match !server_ref with
-      | None -> ()
-      | Some srv ->
-        server_ref := None;
-        let final =
-          Telemetry.Json.to_string
-            (Telemetry.Json.Obj
-               [
-                 "run_id", Telemetry.Json.String run_id;
-                 "t", Telemetry.Json.Float (Telemetry.Epoch.now ());
-               ])
-        in
-        Obsd.Server.stop ~final_event:("end", final) srv
-    in
     (* Keep a recording / span file / heartbeat (and a proof log) parseable
        on abnormal exit: close (flush) the sinks from signal handlers and
        at_exit.  All closes are idempotent, so the normal shutdown path is
@@ -365,15 +280,11 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
         Telemetry.Ctx.close tel
       | Some _ | None -> ());
       (match heartbeat with Some hb -> Telemetry.Snapshot.close hb | None -> ());
-      (* Connected /events subscribers get the final "end" frame within
-         the server's drain grace window before the sockets close. *)
-      stop_server ();
       match proof_sink with Some s -> Proof.Sink.close s | None -> ()
     in
     if
       (Option.is_some tel && span_file <> None)
       || Option.is_some heartbeat || Option.is_some proof_sink || Option.is_some recorder
-      || listen_addr <> None
     then begin
       at_exit close_sinks;
       let close_and_exit n =
@@ -415,49 +326,19 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       incumbents := { Bsolo.Report.at = Unix.gettimeofday () -. start; cost } :: !incumbents
     in
     (* Live monitors: the heartbeat ticker (periodic + SIGUSR1-triggered
-       snapshots, each refreshing the metrics file) and the sampling
-       phase profiler, both on their own domains for the solve's
-       duration. *)
+       snapshots, each written to the heartbeat file and followed by a
+       metrics-file refresh) and the sampling phase profiler, both on
+       their own domains for the solve's duration. *)
     let ticker =
-      if heartbeat = None && !server_ref = None then None
+      if heartbeat = None && metrics_file = None then None
       else begin
         let registry = Option.map (fun t -> t.Telemetry.Ctx.registry) tel in
-        (* One emit fans each snapshot out to every live consumer: the
-           heartbeat file (which owns file-order sequence numbers), the
-           SSE subscribers (with their own stream-order numbering), the
-           server's liveness beat, and an "incumbent" event whenever the
-           best bound improved since the previous snapshot. *)
-        let sse_seq = ref 0 in
-        let last_best = ref None in
-        let publish_snap snap =
-          (match heartbeat with
-          | Some hb -> Telemetry.Snapshot.write hb snap
-          | None -> ());
-          match !server_ref with
-          | None -> ()
-          | Some srv ->
-            Obsd.Server.beat srv;
-            let s = { snap with Telemetry.Snapshot.s_seq = !sse_seq } in
-            incr sse_seq;
-            Obsd.Server.publish srv ~event:"heartbeat"
-              ~data:(Telemetry.Json.to_string (Telemetry.Snapshot.encode s));
-            (match snap.Telemetry.Snapshot.s_best with
-            | Some (cost, from) when !last_best <> Some cost ->
-              last_best := Some cost;
-              Obsd.Server.publish srv ~event:"incumbent"
-                ~data:
-                  (Telemetry.Json.to_string
-                     (Telemetry.Json.Obj
-                        [
-                          "cost", Telemetry.Json.Float cost;
-                          "from", Telemetry.Json.String from;
-                          "t", Telemetry.Json.Float snap.Telemetry.Snapshot.s_t;
-                        ]))
-            | _ -> ())
+        let emit snap =
+          match heartbeat with Some hb -> Telemetry.Snapshot.write hb snap | None -> ()
         in
         let tk =
-          Telemetry.Snapshot.Ticker.start_emit ?registry ~on_tick:write_metrics
-            ~emit:publish_snap ~every:heartbeat_every ()
+          Telemetry.Snapshot.Ticker.start ?registry ~on_tick:write_metrics ~emit
+            ~every:heartbeat_every ()
         in
         (try Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> Telemetry.Snapshot.Ticker.request tk))
          with Invalid_argument _ | Sys_error _ -> ());
@@ -506,13 +387,6 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
        with Invalid_argument _ | Sys_error _ -> ()));
     (match heartbeat with Some hb -> Telemetry.Snapshot.close hb | None -> ());
     write_metrics ();
-    (match !server_ref with
-    | None -> ()
-    | Some srv ->
-      let st = Obsd.Server.stats srv in
-      stop_server ();
-      Printf.printf "c obsd: served %d requests, %d SSE frames dropped\n" st.Obsd.Server.served
-        st.dropped);
     (* Engines without the hook still contribute their final incumbent, so
        every report carries a (possibly one-point) trajectory. *)
     (match (if portfolio then None else Some engine), outcome.best with
@@ -816,17 +690,6 @@ let record_ring_arg =
   in
   Arg.(value & opt (some int) None & info [ "record-ring" ] ~docv:"N" ~doc)
 
-let listen_arg =
-  let doc =
-    "Serve live observability over HTTP on $(docv) (e.g. 127.0.0.1:8080; port 0 picks a \
-     free port, reported on a $(b,c obsd:) line): $(b,/metrics) Prometheus exposition \
-     (byte-identical to the $(b,--metrics) textfile), $(b,/status) in-progress run report \
-     JSON, $(b,/healthz) liveness, $(b,/events) SSE heartbeat/incumbent stream.  Watch \
-     with $(b,bsolo top --connect).  Bind 127.0.0.1 unless the endpoint really must be \
-     reachable remotely — the server is unauthenticated."
-  in
-  Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT" ~doc)
-
 (* --- inspect subcommand ---------------------------------------------------- *)
 
 let print_lines = List.iter print_endline
@@ -1089,8 +952,8 @@ let inspect_node_arg =
 
 let inspect_metrics_arg =
   let doc =
-    "Validate a Prometheus text exposition file ($(b,--metrics) output or a saved \
-     $(b,/metrics) scrape) with the in-repo lint; exit 1 on any violation."
+    "Validate a Prometheus text exposition file ($(b,--metrics) output) with the in-repo \
+     lint; exit 1 on any violation."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
@@ -1249,86 +1112,6 @@ let replay_cmd =
   Cmd.v (Cmd.info "replay" ~doc)
     Term.(const replay_run $ problem_arg $ rec_arg $ check_arg $ proof_arg $ replay_bcp_arg)
 
-(* --- top subcommand --------------------------------------------------------- *)
-
-(* `bsolo top --connect HOST:PORT`: subscribe to the /events SSE stream
-   of a --listen run and repaint the same status view `inspect --live`
-   renders from a heartbeat file.  `--get PATH` instead fetches one
-   endpoint and prints the body — a dependency-free curl for scripts. *)
-let top_run connect get_path frames =
-  let error msg =
-    Printf.eprintf "bsolo top: %s\n" msg;
-    2
-  in
-  match connect with
-  | None -> error "needs --connect HOST:PORT (the address of a --listen run)"
-  | Some spec -> (
-    match Obsd.Client.parse_addr spec with
-    | Error msg -> error msg
-    | Ok (host, port) -> (
-      match get_path with
-      | Some path -> (
-        match Obsd.Client.get ~host ~port path with
-        | Ok (200, body) ->
-          print_string body;
-          0
-        | Ok (status, body) ->
-          Printf.eprintf "bsolo top: HTTP %d\n" status;
-          print_string body;
-          1
-        | Error msg -> error msg)
-      | None ->
-        let seen = ref [] in
-        let rendered = ref 0 in
-        let render () =
-          print_string "\027[H\027[2J";
-          List.iter print_endline (Inspect.heartbeat_view (List.rev !seen));
-          flush stdout
-        in
-        let finished = ref false in
-        let on_event ~event ~data =
-          match event with
-          | "heartbeat" -> (
-            match Inspect.Json.of_string data with
-            | Ok j ->
-              seen := j :: !seen;
-              incr rendered;
-              render ();
-              frames <= 0 || !rendered < frames
-            | Error _ -> true)
-          | "end" ->
-            finished := true;
-            false
-          | _ -> true
-        in
-        match Obsd.Client.events ~host ~port ~on_event () with
-        | Ok () ->
-          if !rendered = 0 then error "stream ended before the first heartbeat"
-          else begin
-            print_endline (if !finished then "run ended." else "detached.");
-            0
-          end
-        | Error msg -> error msg))
-
-let top_cmd =
-  let doc = "live status view of a running --listen solve (over its SSE stream)" in
-  let connect_arg =
-    let doc = "Address of the running solver's $(b,--listen) endpoint." in
-    Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
-  in
-  let get_arg =
-    let doc =
-      "Fetch one endpoint path (e.g. $(b,/metrics), $(b,/status), $(b,/healthz)) and \
-       print the response body instead of streaming; exit 1 on a non-200 status."
-    in
-    Arg.(value & opt (some string) None & info [ "get" ] ~docv:"PATH" ~doc)
-  in
-  let frames_arg =
-    let doc = "Detach after rendering $(docv) heartbeat frames (0 streams until the run ends)." in
-    Arg.(value & opt int 0 & info [ "frames" ] ~docv:"N" ~doc)
-  in
-  Cmd.v (Cmd.info "top" ~doc) Term.(const top_run $ connect_arg $ get_arg $ frames_arg)
-
 (* --- entry point ----------------------------------------------------------- *)
 
 let solve_term =
@@ -1340,14 +1123,14 @@ let solve_term =
     $ no_lp_branching_arg $ no_preprocess_arg $ no_adaptive_lb_arg
     $ portfolio_arg $ jobs_arg $ verify_arg $ verbose_arg $ stats_arg $ json_arg
     $ proof_file_arg $ progress_arg $ span_file_arg $ heartbeat_arg $ heartbeat_every_arg
-    $ profile_hz_arg $ metrics_arg $ record_arg $ record_ring_arg $ listen_arg))
+    $ profile_hz_arg $ metrics_arg $ record_arg $ record_ring_arg))
 
 let cmd =
   let doc = "pseudo-Boolean optimizer with lower bounding (bsolo reproduction)" in
   let info = Cmd.info "bsolo" ~version:"1.0.0" ~doc in
   let solve_cmd = Cmd.v (Cmd.info "solve" ~doc:"solve an OPB/CNF instance (default)") solve_term in
   Cmd.group ~default:solve_term info
-    [ solve_cmd; inspect_cmd; checkproof_cmd; replay_cmd; top_cmd ]
+    [ solve_cmd; inspect_cmd; checkproof_cmd; replay_cmd ]
 
 (* Backward compatibility: `bsolo FILE [flags]` predates the subcommand
    group, so a first argument that is not a command name is routed to the
@@ -1356,7 +1139,7 @@ let argv =
   let argv = Sys.argv in
   if Array.length argv > 1 then begin
     match argv.(1) with
-    | "inspect" | "solve" | "checkproof" | "replay" | "top" -> argv
+    | "inspect" | "solve" | "checkproof" | "replay" -> argv
     | s when String.length s > 0 && s.[0] = '-' -> argv
     | _ -> Array.concat [ [| argv.(0); "solve" |]; Array.sub argv 1 (Array.length argv - 1) ]
   end

@@ -57,6 +57,10 @@ let compare_terms t1 t2 =
 let coefficient_limit = 1 lsl 40
 let degree_limit = 4 * coefficient_limit
 
+(* Each variable costs every per-variable array of the solver a slot, so
+   the OPB reader bounds the largest index it sizes those arrays to. *)
+let variable_limit = 1 lsl 20
+
 let make_ge raw rhs =
   List.iter
     (fun (c, _) ->

@@ -40,6 +40,10 @@ val degree_limit : int
 (** [4 * coefficient_limit]: the largest raw right-hand-side magnitude
     {!make_ge} accepts. *)
 
+val variable_limit : int
+(** 2^20: the largest variable index the OPB reader accepts, and the
+    largest [#variable=] header it accepts. *)
+
 val make_ge : (int * Lit.t) list -> int -> norm
 (** [make_ge terms rhs] normalizes [sum terms >= rhs].  Raw coefficients
     may be negative, mention repeated variables or both polarities.

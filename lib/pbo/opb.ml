@@ -10,8 +10,10 @@ type token =
 (* Tokenizer: splits a line into integers, (possibly negated) variables,
    relations, the [min:] keyword and semicolons.  Whitespace separates
    tokens but [>=], [<=], [=] and [;] are also recognized when glued to
-   their neighbours, as some generators emit them without spaces. *)
-let tokenize_line ~lineno line =
+   their neighbours, as some generators emit them without spaces.
+   Variable indices above [bound] are rejected; [what] names where the
+   bound comes from. *)
+let tokenize_line ~lineno ~max_index:(bound, what) line =
   let fail msg = raise (Parse_error (Printf.sprintf "line %d: %s" lineno msg)) in
   let n = String.length line in
   let tokens = ref [] in
@@ -69,6 +71,7 @@ let tokenize_line ~lineno line =
     if stop = i + 1 then fail "variable without index";
     let idx = number (i + 1) stop in
     if idx < 1 then fail "variable indices start at 1";
+    if idx > bound then fail (Printf.sprintf "variable x%d exceeds %s %d" idx what bound);
     emit (Var (Lit.make (idx - 1) (not negated)));
     go stop
   in
@@ -145,20 +148,53 @@ let parse_tokens builder cache ~lineno tokens =
       List.iter (Problem.Builder.add_norm builder) (Constr.of_relation raw rel rhs)
     | _, _ -> fail "malformed constraint")
 
+(* The variable count of the PB-competition header comment
+   ["* #variable= N #constraint= M"], if this comment line is one.  A
+   header in another spelling is an ordinary comment: the index bound
+   then falls back to [Constr.variable_limit]. *)
+let declared_nvars ~lineno line =
+  let rec find = function
+    | "#variable=" :: n :: _ -> (
+      match int_of_string_opt n with
+      | Some v when v >= 0 && v <= Constr.variable_limit -> Some v
+      | Some _ | None ->
+        raise
+          (Parse_error
+             (Printf.sprintf "line %d: #variable= %s is not a count within %d" lineno n
+                Constr.variable_limit)))
+    | _ :: rest -> find rest
+    | [] -> None
+  in
+  let blank c = if c = '\t' || c = '\r' then ' ' else c in
+  find (String.split_on_char ' ' (String.map blank line) |> List.filter (fun w -> w <> ""))
+
 (* Two passes: statements are split first and the builder is pre-sized to
    the largest variable the file mentions, so that Tseitin product
-   variables are allocated above the file's own variables. *)
+   variables are allocated above the file's own variables.  The tokenizer
+   bounds that index by the count of a header before the first statement,
+   or by [Constr.variable_limit] without one, so a hostile index cannot
+   size the arrays to gigabytes. *)
 let parse_lines lines =
   let statements = ref [] in
   let pending = ref [] in
   let pending_line = ref 0 in
+  let header = ref None in
   let feed lineno line =
     let is_comment =
       let trimmed = String.trim line in
       String.length trimmed > 0 && trimmed.[0] = '*'
     in
-    if not is_comment then begin
-      let tokens = tokenize_line ~lineno line in
+    if is_comment then begin
+      if !header = None && !statements = [] && !pending = [] then
+        header := declared_nvars ~lineno line
+    end
+    else begin
+      let max_index =
+        match !header with
+        | Some n -> n, "#variable="
+        | None -> Constr.variable_limit, "limit"
+      in
+      let tokens = tokenize_line ~lineno ~max_index line in
       if !pending = [] then pending_line := lineno;
       let rec split acc = function
         | [] -> pending := !pending @ List.rev acc

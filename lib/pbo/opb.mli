@@ -16,7 +16,12 @@
     Non-linear product terms in the PB07 style ([+2 x1 x2] meaning
     2*(x1 AND x2)) are accepted and linearized with cached Tseitin
     product variables, so the parsed problem may have more variables
-    than the file mentions. *)
+    than the file mentions.
+
+    Variable indices are bounded before any array is sized: by the
+    [#variable=] count of a ["* #variable= N #constraint= M"] header, or
+    by {!Constr.variable_limit} in a file without one.  A header above
+    that limit, or an index above the bound, is a {!Parse_error}. *)
 
 exception Parse_error of string
 (** Raised with a human-readable message including the line number. *)

@@ -402,7 +402,7 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
     in
     Telemetry.Profile.register wcell;
     (* Expose the worker's private registry for the member's lifetime:
-       the observability server scrapes it live under the same
+       the --metrics textfile renders it live under the same
        [portfolio.<name>.] prefix its post-join merge will use, so
        metric names stay stable across the member's finish. *)
     on_member_start e.pname wtel.registry;
@@ -417,7 +417,7 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
     in
     Telemetry.Profile.unregister wcell;
     (* Withdraw the live source before the main domain merges the
-       registry after the join — a scrape between the two sees the
+       registry after the join — a metrics refresh between the two sees the
        member's counters in neither place rather than in both. *)
     on_member_done e.pname;
     Option.iter Proof.Sink.close psink;

@@ -93,7 +93,7 @@ val solve :
 
     [on_member_start name registry] / [on_member_done name] bracket each
     parallel member's run from the worker domain, handing out its
-    private registry so the observability server can scrape live members
+    private registry so the --metrics textfile can render live members
     under the same [portfolio.<name>.] prefix the post-join merge uses.
     The registry must only be read racy-but-tear-free while live (it is
     written by the worker).  Sequential members share the caller's

@@ -1,15 +1,14 @@
 (* Prometheus text exposition over a Registry.
 
    Renders every counter, gauge and histogram in the version-0.0.4 text
-   format, so a node_exporter textfile collector, a file scraper or the
-   embedded observability server ([Obsd], `GET /metrics`) can ingest
-   solver metrics.  Instrument names are sanitized to the exposition
+   format, so a node_exporter textfile collector or any file scraper can
+   ingest solver metrics.  Instrument names are sanitized to the exposition
    grammar ([a-zA-Z_][a-zA-Z0-9_]*, dots become underscores, a leading
    digit gains an underscore) and namespaced, e.g. [search.nodes]
    becomes [bsolo_search_nodes].  Every metric carries `# HELP` and
    `# TYPE` lines and label values are escaped, so the output is
-   lint-clean exposition — {!lint} checks exactly that and is run over
-   both the textfile and the HTTP paths in CI.
+   lint-clean exposition — {!lint} checks exactly that, and the smoke
+   suite runs it over the textfile of a live solve.
 
    Histogram buckets are power-of-two in the registry; they export as
    the standard cumulative [le] series (inclusive upper bounds match the
@@ -113,8 +112,6 @@ let render_sources ?(namespace = "bsolo") sources =
   List.iter (fun (prefix, registry) -> render_one b ~namespace ~prefix registry) sources;
   Buffer.contents b
 
-let render ?namespace registry = render_sources ?namespace [ "", registry ]
-
 let write_file_sources ?namespace path sources =
   (* Write-then-rename so scrapers never see a half-written file. *)
   let tmp = path ^ ".tmp" in
@@ -123,12 +120,10 @@ let write_file_sources ?namespace path sources =
   close_out oc;
   Sys.rename tmp path
 
-let write_file ?namespace path registry = write_file_sources ?namespace path [ "", registry ]
-
 (* --- exposition lint -------------------------------------------------------- *)
 
-(* In-repo lint for the exposition format, shared by the textfile and
-   `GET /metrics` paths (the smoke suite runs it over both).  Checks the
+(* In-repo lint for the exposition format, behind `bsolo inspect
+   --metrics` (the smoke suite runs it over a live textfile).  Checks the
    line grammar, metric/label name validity, escape sequences, TYPE
    placement (at most one per metric, before its samples) and histogram
    structure (cumulative non-decreasing [le] buckets ending in a +Inf

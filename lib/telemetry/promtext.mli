@@ -7,11 +7,9 @@
     cumulative [le] series.  Series are not exported (Prometheus scrapes
     its own history).
 
-    Two consumers share the renderer: {!write_file} for the
-    node_exporter textfile collector (renames a temp file into place so
-    readers never see a partial exposition), and the embedded
-    observability server's [GET /metrics] endpoint — both render the
-    same sources, so the HTTP body is byte-identical to the file. *)
+    {!write_file_sources} feeds the node_exporter textfile collector: it
+    renames a temp file into place, so readers never see a partial
+    exposition. *)
 
 val sanitize : string -> string
 (** Map to the exposition name grammar [[a-zA-Z_][a-zA-Z0-9_]*]: every
@@ -22,25 +20,21 @@ val escape_label_value : string -> string
 (** Escape backslash, double quote and newline for use inside a quoted
     label value. *)
 
-val render : ?namespace:string -> Registry.t -> string
-(** Full exposition text; [namespace] defaults to ["bsolo"]. *)
-
 val render_sources : ?namespace:string -> (string * Registry.t) list -> string
-(** Render several registries into one exposition; each instrument name
-    is prefixed with its source's prefix before sanitizing, so a live
-    portfolio member's registry under prefix ["portfolio.bsolo-lpr."]
-    exports the same metric names its post-join merge will. *)
-
-val write_file : ?namespace:string -> string -> Registry.t -> unit
-(** [write_file path registry] atomically replaces [path] with the
-    current exposition. *)
+(** Render several registries into one exposition; [namespace] defaults
+    to ["bsolo"].  Each instrument name is prefixed with its source's
+    prefix before sanitizing, so a live portfolio member's registry under
+    prefix ["portfolio.bsolo-lpr."] exports the same metric names its
+    post-join merge will.  A single registry is the source [("", reg)]. *)
 
 val write_file_sources : ?namespace:string -> string -> (string * Registry.t) list -> unit
+(** [write_file_sources path sources] atomically replaces [path] with
+    the current exposition of [sources]. *)
 
 (** {1 Exposition lint}
 
     In-repo validator for the text exposition format, used by the test
-    and smoke suites over both the textfile and [GET /metrics] paths. *)
+    and smoke suites and by [bsolo inspect --metrics]. *)
 
 val lint : string -> (int, string list) result
 (** Check an exposition body: line grammar, metric and label name

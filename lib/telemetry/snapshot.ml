@@ -301,7 +301,7 @@ module Ticker = struct
       end
     done
 
-  let start_emit ?registry ?(on_tick = fun () -> ()) ~emit ~every () =
+  let start ?registry ?(on_tick = fun () -> ()) ~emit ~every () =
     let tk =
       {
         emit;
@@ -316,9 +316,6 @@ module Ticker = struct
        record. *)
     tk.handle <- Some (Domain.spawn (fun () -> snap_now tk; run every tk));
     tk
-
-  let start ?registry ?on_tick writer ~every =
-    start_emit ?registry ?on_tick ~emit:(write writer) ~every ()
 
   let request tk = Atomic.set tk.req true
 

@@ -77,21 +77,18 @@ val peek : collector -> snap
 module Ticker : sig
   type ticker
 
-  val start : ?registry:Registry.t -> ?on_tick:(unit -> unit) -> t -> every:float -> ticker
-  (** Spawn the heartbeat domain: one snapshot immediately, then one
-      every [every] seconds.  [on_tick] runs on the ticker domain after
-      each snapshot (used to refresh the Prometheus metrics file). *)
-
-  val start_emit :
+  val start :
     ?registry:Registry.t ->
     ?on_tick:(unit -> unit) ->
     emit:(snap -> unit) ->
     every:float ->
     unit ->
     ticker
-  (** Like {!start} but with an arbitrary consumer instead of a file
-      writer — the observability server streams snapshots to SSE
-      subscribers this way, with or without a heartbeat file. *)
+  (** Spawn the heartbeat domain: one snapshot immediately, then one
+      every [every] seconds, each handed to [emit] (a heartbeat file's
+      {!write}, or nothing when only the metrics file is wanted).
+      [on_tick] runs on the ticker domain after each snapshot (used to
+      refresh the Prometheus metrics file). *)
 
   val request : ticker -> unit
   (** Ask for an out-of-band snapshot at the next ~50 ms quantum —

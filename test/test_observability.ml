@@ -305,7 +305,7 @@ let ticker_request_forces_snapshot () =
   let w =
     T.Snapshot.open_file path ~run_id:"deadbeef" ~started:(Unix.gettimeofday ()) ~every:60.
   in
-  let tk = T.Snapshot.Ticker.start w ~every:60. in
+  let tk = T.Snapshot.Ticker.start ~emit:(T.Snapshot.write w) ~every:60. () in
   Unix.sleepf 0.15 (* let the start-of-run snapshot land *);
   T.Snapshot.Ticker.request tk;
   Unix.sleepf 0.3 (* several polling quanta, still way under [every] *);
@@ -400,7 +400,7 @@ let promtext_render () =
   T.Histogram.observe h 1;
   T.Histogram.observe h 3;
   T.Histogram.observe h 100;
-  let text = T.Promtext.render reg in
+  let text = T.Promtext.render_sources [ "", reg ] in
   let has s = contains text s in
   Alcotest.(check bool) "counter TYPE line" true (has "# TYPE bsolo_engine_decisions counter");
   Alcotest.(check bool) "counter value" true (has "bsolo_engine_decisions 5");
@@ -418,12 +418,40 @@ let promtext_write_file_atomic () =
   let path = tmp_file ".prom" in
   let reg = T.Registry.create () in
   T.Counter.incr (T.Registry.counter reg "search.nodes");
-  T.Promtext.write_file path reg;
+  T.Promtext.write_file_sources path [ "", reg ];
   let ic = open_in path in
   let first = input_line ic in
   close_in ic;
   Alcotest.(check bool) "file starts with a comment header" true
     (String.length first > 0 && first.[0] = '#')
+
+(* The --metrics file of a parallel portfolio: the main registry plus a
+   live member's registry under the [portfolio.<member>.] prefix its
+   post-join merge uses.  The file is the rendered exposition byte for
+   byte, lint-clean, and the member's names are the merged ones. *)
+let promtext_multi_source () =
+  let main = T.Registry.create () in
+  T.Counter.add (T.Registry.counter main "search.nodes") 42;
+  T.Gauge.set (T.Registry.gauge main "lp.objective") 2.5;
+  let h = T.Registry.histogram main "lb.value" in
+  T.Histogram.observe h 1;
+  T.Histogram.observe h 9;
+  let member = T.Registry.create () in
+  T.Counter.add (T.Registry.counter member "bcp.visits") 7;
+  let sources = [ "", main; "portfolio.bsolo-lpr.", member ] in
+  let rendered = T.Promtext.render_sources sources in
+  let path = tmp_file ".prom" in
+  T.Promtext.write_file_sources path sources;
+  let ic = open_in_bin path in
+  let file = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "file is byte-identical to the rendering" rendered file;
+  (match T.Promtext.lint file with
+  | Ok n -> Alcotest.(check bool) "lint-clean with samples" true (n > 0)
+  | Error vs -> Alcotest.failf "lint violations: %s" (String.concat "; " vs));
+  Alcotest.(check bool) "main metrics unprefixed" true (contains file "bsolo_search_nodes 42");
+  Alcotest.(check bool) "member metrics under the merge prefix" true
+    (contains file "bsolo_portfolio_bsolo_lpr_bcp_visits 7")
 
 (* --- suite ------------------------------------------------------------------ *)
 
@@ -453,4 +481,5 @@ let suite =
     Alcotest.test_case "promtext: render" `Quick promtext_render;
     Alcotest.test_case "promtext: sanitize" `Quick promtext_sanitize;
     Alcotest.test_case "promtext: write_file" `Quick promtext_write_file_atomic;
+    Alcotest.test_case "promtext: multi-source file" `Quick promtext_multi_source;
   ]

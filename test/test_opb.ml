@@ -39,7 +39,21 @@ let parse_errors () =
   expect_error "+1 x0 >= 1 ;";  (* indices start at 1 *)
   expect_error "+1 x1 > 1 ;";  (* bad relation *)
   expect_error "min +1 x1 ;";  (* min without colon *)
-  expect_error "+ x1 >= 1 ;"  (* dangling sign *)
+  expect_error "+ x1 >= 1 ;";  (* dangling sign *)
+  (* variable indices above the header's count, or above
+     Constr.variable_limit without a header *)
+  expect_error "* #variable= 2 #constraint= 1\n+1 x1 +1 x3 >= 1 ;\n";
+  expect_error "* #variable= x #constraint= 1\n+1 x1 >= 1 ;\n";
+  expect_error (Printf.sprintf "* #variable= %d\n+1 x1 >= 1 ;\n" (Constr.variable_limit + 1));
+  expect_error (Printf.sprintf "+1 x1 +1 x%d >= 1 ;\n" (Constr.variable_limit + 1))
+
+(* Only a header before the first statement bounds the indices. *)
+let header_bounds_indices () =
+  let nvars text = Problem.nvars (Opb.parse_string text) in
+  Alcotest.(check int) "within the header" 2 (nvars "* #variable= 3 #constraint= 1\n+1 x1 +1 x2 >= 1 ;\n");
+  Alcotest.(check int) "CRLF header" 2 (nvars "* #variable=  2\r\n+1 x1 +1 x2 >= 1 ;\r\n");
+  Alcotest.(check int) "a header after a statement is a comment" 3
+    (nvars "+1 x1 +1 x3 >= 1 ;\n* #variable= 2 #constraint= 1\n")
 
 let roundtrip_once problem =
   let text = Opb.to_string problem in
@@ -96,6 +110,7 @@ let suite =
     Alcotest.test_case "parse satisfaction" `Quick parse_no_objective;
     Alcotest.test_case "implicit coefficient" `Quick parse_implicit_coefficient;
     Alcotest.test_case "parse errors" `Quick parse_errors;
+    Alcotest.test_case "header bounds variable indices" `Quick header_bounds_indices;
     Alcotest.test_case "roundtrip random" `Quick roundtrip_generated;
     Alcotest.test_case "roundtrip benchmarks" `Quick roundtrip_benchmarks;
     Alcotest.test_case "file io" `Quick file_io;

@@ -5,6 +5,11 @@
 
 module R = Telemetry.Recorder
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let tmp suffix =
   let path = Filename.temp_file "bsolo-rec" suffix in
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
@@ -269,7 +274,7 @@ let test_replay_rejects_removed_lp_flag () =
     Alcotest.(check bool)
       ("error names the removed flag: " ^ msg)
       true
-      (Test_obsd.contains msg "cold-LPR")
+      (contains msg "cold-LPR")
 
 let suite =
   [
